@@ -4,8 +4,9 @@
 // the sapd solver service.
 //
 // Usage:
-//   sapkit_cli solve   [--algo full|uniform|small|medium|large] [--eps X]
-//                      [--seed N] [file]
+//   sapkit_cli solve   [--algo full|exact|uniform|small|medium|large]
+//                      [--eps X] [--seed N] [--ring] [--kind K]
+//                      [--certify] [--cert-out FILE] [file]
 //   sapkit_cli exact   [file]            # profile-DP oracle
 //   sapkit_cli bound   [file]            # LP upper bound on OPT
 //   sapkit_cli round   [--kind round-ufp|round-sap] [--algo full|exact]
@@ -25,12 +26,15 @@
 //                      [--deadline-ms B] [file]
 //   sapkit_cli certify --solution SOL [--cert CERT] [--ring] [file]
 //
+// `solve`, `round` and `request` build the same service request: the first
+// two solve it in process through the same entry point sapd serves it with,
+// so all three print the same bytes. Each re-verifies the answer and any
+// certificate through the independent checkers before printing.
+//
 // `certify` with --cert validates an existing certificate against the
 // instance + solution through the independent checker; without --cert it
 // produces a fresh certificate (written to stdout or --cert-out), then
-// self-checks it. `solve --certify` and `batch --certify` certify solver
-// output inline; `request --certify` asks the server for a certificate and
-// re-checks it client-side.
+// self-checks it. `batch --certify` certifies solver output inline.
 //
 // Exit codes: 0 success, 1 runtime failure (unreadable file, infeasible
 // output, connection refused, typed server rejection, invalid or
@@ -47,23 +51,21 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
-#include <numeric>
 #include <sstream>
+#include <type_traits>
 
 #include "src/cert/certify.hpp"
-#include "src/core/sap_solver.hpp"
 #include "src/exact/profile_dp.hpp"
 #include "src/gen/generators.hpp"
 #include "src/harness/batch_runner.hpp"
 #include "src/io/instance_io.hpp"
 #include "src/lp/ufpp_lp.hpp"
 #include "src/model/verify.hpp"
-#include "src/round/approx.hpp"
-#include "src/round/exact.hpp"
+#include "src/round/gen.hpp"
 #include "src/round/verify.hpp"
-#include "src/sapu/sapu_solver.hpp"
 #include "src/service/client.hpp"
 #include "src/service/server.hpp"
+#include "src/service/solve.hpp"
 
 namespace {
 
@@ -78,8 +80,9 @@ struct UsageError : std::runtime_error {
 void print_usage(std::ostream& os) {
   os << "usage: sapkit_cli "
         "solve|exact|bound|round|gen|batch|serve|request [options] [file]\n"
-        "  solve   --algo full|uniform|small|medium|large --eps X --seed N\n"
-        "          [--certify] [--cert-out FILE]\n"
+        "  solve   --algo full|exact|uniform|small|medium|large --eps X\n"
+        "          --seed N [--ring] [--kind K] [--certify]\n"
+        "          [--cert-out FILE]\n"
         "  round   [--kind round-ufp|round-sap] [--algo full|exact] [file]\n"
         "  gen     --edges M --tasks N --seed S [--nba]\n"
         "  batch   --count N --seed S --threads T --edges M --tasks N\n"
@@ -103,22 +106,9 @@ int usage_error(const std::string& message) {
   return 2;
 }
 
-PathInstance load(const std::string& path) {
-  if (path.empty() || path == "-") return read_path_instance(std::cin);
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return read_path_instance(in);
-}
-
-RingInstance load_ring(const std::string& path) {
-  if (path.empty() || path == "-") return read_ring_instance(std::cin);
-  std::ifstream in(path);
-  if (!in) throw std::runtime_error("cannot open " + path);
-  return read_ring_instance(in);
-}
-
-/// Raw text of an instance file; `request` ships it to the server without
-/// parsing so the service-side hardening is what validates it.
+/// Raw text of an instance file (or stdin); `request` ships it to the
+/// server without parsing so the service-side hardening is what validates
+/// it.
 std::string load_text(const std::string& path) {
   std::ostringstream buffer;
   if (path.empty() || path == "-") {
@@ -129,12 +119,6 @@ std::string load_text(const std::string& path) {
     buffer << in.rdbuf();
   }
   return buffer.str();
-}
-
-std::vector<TaskId> all_ids(const PathInstance& inst) {
-  std::vector<TaskId> ids(inst.num_tasks());
-  std::iota(ids.begin(), ids.end(), TaskId{0});
-  return ids;
 }
 
 CapacityProfile parse_profile(const std::string& name) {
@@ -311,12 +295,19 @@ void write_certificate_to(const std::string& path,
   write_certificate(out, c);
 }
 
-/// One-line human summary of a certificate, to stderr.
-void print_cert_summary(const cert::Certificate& c, bool checked) {
+/// Re-checks `c` through the independent checker; prints a one-line
+/// summary (and the reason for a rejection) to stderr.
+template <typename Inst, typename Sol>
+bool cert_holds(const Inst& inst, const Sol& sol, const cert::Certificate& c) {
+  const cert::CheckResult check = cert::check_certificate(inst, sol, c);
   std::cerr << "certificate: rung " << cert::ub_rung_name(c.ub.rung)
             << ", weight " << c.solution_weight << ", ub " << c.ub.value
             << ", alpha " << c.alpha_num << "/" << c.alpha_den << ", check "
-            << (checked ? "ok" : "FAILED") << "\n";
+            << (check.valid ? "ok" : "FAILED") << "\n";
+  if (!check.valid) {
+    std::cerr << "certificate REJECTED: " << check.reason << "\n";
+  }
+  return check.valid;
 }
 
 /// Shared path/ring body of the `certify` subcommand: validate an existing
@@ -326,29 +317,15 @@ int certify_pair(const Inst& inst, const Sol& sol, const Options& opt) {
   if (!opt.cert_path.empty()) {
     std::ifstream cert_in(opt.cert_path);
     if (!cert_in) throw std::runtime_error("cannot open " + opt.cert_path);
-    const cert::Certificate c = read_certificate(cert_in);
-    const cert::CheckResult check = cert::check_certificate(inst, sol, c);
-    if (!check.valid) {
-      std::cerr << "certificate REJECTED: " << check.reason << "\n";
-      return 1;
-    }
-    print_cert_summary(c, /*checked=*/true);
-    return 0;
+    return cert_holds(inst, sol, read_certificate(cert_in)) ? 0 : 1;
   }
   const cert::CertifyOutcome outcome = cert::certify_solution(inst, sol);
   if (!outcome.certified) {
     std::cerr << "error: cannot certify: " << outcome.detail << "\n";
     return 1;
   }
-  const cert::CheckResult check =
-      cert::check_certificate(inst, sol, outcome.cert);
   write_certificate_to(opt.cert_out_path, outcome.cert);
-  print_cert_summary(outcome.cert, check.valid);
-  if (!check.valid) {
-    std::cerr << "certificate REJECTED: " << check.reason << "\n";
-    return 1;
-  }
-  return 0;
+  return cert_holds(inst, sol, outcome.cert) ? 0 : 1;
 }
 
 int run_certify(const Options& opt) {
@@ -357,54 +334,112 @@ int run_certify(const Options& opt) {
   }
   std::ifstream sol_in(opt.solution_path);
   if (!sol_in) throw std::runtime_error("cannot open " + opt.solution_path);
+  std::istringstream inst_is(load_text(opt.file));
   if (opt.ring) {
-    const RingInstance inst = load_ring(opt.file);
-    const RingSapSolution sol = read_ring_solution(sol_in);
-    return certify_pair(inst, sol, opt);
+    return certify_pair(read_ring_instance(inst_is),
+                        read_ring_solution(sol_in), opt);
   }
-  const PathInstance inst = load(opt.file);
-  const SapSolution sol = read_sap_solution(sol_in);
-  return certify_pair(inst, sol, opt);
+  return certify_pair(read_path_instance(inst_is), read_sap_solution(sol_in),
+                      opt);
 }
 
-/// `round`: minimum-round packing of ALL tasks (Round-UFP / Round-SAP).
-/// `--algo full` runs the approximation pipeline, `--algo exact` the
-/// branch-and-bound oracle. Output is the round-solution v1 text format.
-int run_round(const Options& opt) {
-  const PathInstance inst = load(opt.file);
-  const round::RoundKind kind =
-      round::parse_round_kind(opt.kind.empty() ? "round-ufp" : opt.kind);
-
-  round::RoundAssignment assignment;
-  if (opt.algo == "full") {
-    round::RoundApproxReport report;
-    assignment = kind == round::RoundKind::kUfp
-                     ? round::solve_round_ufp_approx(inst, {}, &report)
-                     : round::solve_round_sap_approx(inst, {}, &report);
-    std::cerr << "rounds " << assignment.num_rounds() << " ("
-              << report.small_rounds << " small, " << report.large_rounds
-              << " large, lower bound " << report.lower_bound << ")";
-    if (report.slab_arm_won) std::cerr << " [slab arm]";
-    std::cerr << "\n";
-  } else if (opt.algo == "exact") {
-    const round::RoundExactResult exact = round::solve_round_exact(inst, kind);
-    assignment = exact.assignment;
-    std::cerr << "optimum " << exact.rounds
-              << (exact.proven_optimal ? "" : " (upper bound: budget hit)")
-              << ", " << exact.nodes << " nodes\n";
-  } else {
-    throw UsageError("unknown algorithm for round: " + opt.algo +
-                     " (want full|exact)");
+/// The request `solve`, `round` and `request` all make: --kind wins, else
+/// the subcommand's default kind.
+service::SolveRequest make_request(const Options& opt,
+                                   service::SolveRequest::Kind default_kind) {
+  service::SolveRequest request;
+  request.kind = default_kind;
+  if (!opt.kind.empty()) {
+    try {
+      request.kind = service::parse_kind(opt.kind);
+    } catch (const std::invalid_argument&) {
+      throw UsageError("unknown kind: " + opt.kind +
+                       " (want path|ring|round-ufp|round-sap)");
+    }
   }
+  request.algo = opt.algo;
+  request.eps = opt.eps;
+  request.seed = opt.seed;
+  request.want_certificate = opt.certify;
+  request.deadline_ms = opt.deadline_ms;
+  request.instance_text = load_text(opt.file);
+  return request;
+}
 
-  const VerifyResult check = round::verify_round_assignment(inst, assignment);
+/// Trust, but verify: re-checks the answer (and any certificate) through
+/// the independent checkers before printing the solution to stdout.
+template <typename Inst, typename Sol>
+int check_and_print(const Options& opt, const Inst& inst, const Sol& sol,
+                    const service::SolveResponse& response) {
+  VerifyResult check;
+  if constexpr (std::is_same_v<Sol, SapSolution>) {
+    check = verify_sap(inst, sol);
+  } else if constexpr (std::is_same_v<Sol, RingSapSolution>) {
+    check = verify_ring_sap(inst, sol);
+  } else {
+    check = round::verify_round_assignment(inst, sol);
+  }
   if (!check) {
-    std::cerr << "INTERNAL ERROR: invalid round assignment: " << check.reason
+    std::cerr << "INTERNAL ERROR: infeasible solution: " << check.reason
               << "\n";
     return 1;
   }
-  write_round_assignment(std::cout, assignment);
+  if constexpr (!std::is_same_v<Sol, round::RoundAssignment>) {
+    if (opt.certify) {
+      if (response.certificate_text.empty()) {
+        std::cerr << "error: no certificate (pre-certification server, or "
+                     "the solve was not certifiable)\n";
+        return 1;
+      }
+      std::istringstream cert_is(response.certificate_text);
+      const cert::Certificate c = read_certificate(cert_is);
+      if (!cert_holds(inst, sol, c)) return 1;
+      if (!opt.cert_out_path.empty()) {
+        write_certificate_to(opt.cert_out_path, c);
+      }
+    }
+  }
+  std::cout << response.solution_text;
   return 0;
+}
+
+/// The one output path of `solve`, `round` and `request`, so a served
+/// answer prints exactly what the local solve prints.
+int print_response(const Options& opt, const service::SolveRequest& request,
+                   const service::SolveResponse& response) {
+  std::cerr << "weight " << response.weight << " (" << response.placed << "/"
+            << response.total_tasks << " tasks) in " << response.wall_micros
+            << "us wall time\n";
+  if (response.degraded) {
+    std::cerr << "note: deadline expired; result is the budget-capped "
+                 "approximation (skipped: "
+              << (response.skipped.empty() ? "-" : response.skipped) << ")\n";
+  }
+  if (response.is_round) std::cerr << "rounds " << response.rounds << "\n";
+  std::istringstream inst_is(request.instance_text);
+  std::istringstream sol_is(response.solution_text);
+  switch (request.kind) {
+    case service::SolveRequest::Kind::kPath:
+      return check_and_print(opt, read_path_instance(inst_is),
+                             read_sap_solution(sol_is), response);
+    case service::SolveRequest::Kind::kRing:
+      return check_and_print(opt, read_ring_instance(inst_is),
+                             read_ring_solution(sol_is), response);
+    case service::SolveRequest::Kind::kRoundUfp:
+    case service::SolveRequest::Kind::kRoundSap:
+      break;
+  }
+  return check_and_print(opt, read_path_instance(inst_is),
+                         read_round_assignment(sol_is), response);
+}
+
+/// `solve` and `round`: the request sapd would serve, solved in process.
+int run_local(const Options& opt, service::SolveRequest::Kind default_kind) {
+  const service::SolveRequest request = make_request(opt, default_kind);
+  return print_response(
+      opt, request,
+      service::solve_request(request, service::ServerOptions{},
+                             Deadline::unlimited()));
 }
 
 int run_serve(const Options& opt) {
@@ -465,9 +500,8 @@ int run_serve(const Options& opt) {
   const service::ServerStats stats = server.stats_snapshot();
   std::cerr << "sapd: served " << stats.requests_ok << " solves ("
             << stats.requests_bad << " bad, " << stats.requests_overloaded
-            << " overloaded, " << stats.requests_degraded << " degraded, "
-            << stats.requests_deadline_exceeded
-            << " deadline-exceeded) over " << stats.connections_accepted
+            << " overloaded, " << stats.requests_degraded << " degraded) over "
+            << stats.connections_accepted
             << " connections in " << stats.uptime_seconds << "s\n";
   if (opt.cache_entries > 0) {
     std::cerr << "sapd: cache " << stats.cache_hits << " hits, "
@@ -494,77 +528,16 @@ int run_request(const Options& opt) {
     return 0;
   }
 
-  service::SolveRequest request;
-  if (opt.kind.empty()) {
-    request.kind = opt.ring ? service::SolveRequest::Kind::kRing
-                            : service::SolveRequest::Kind::kPath;
-  } else if (opt.kind == "path") {
-    request.kind = service::SolveRequest::Kind::kPath;
-  } else if (opt.kind == "ring") {
-    request.kind = service::SolveRequest::Kind::kRing;
-  } else if (opt.kind == "round-ufp") {
-    request.kind = service::SolveRequest::Kind::kRoundUfp;
-  } else if (opt.kind == "round-sap") {
-    request.kind = service::SolveRequest::Kind::kRoundSap;
-  } else {
-    throw UsageError("unknown kind: " + opt.kind +
-                     " (want path|ring|round-ufp|round-sap)");
-  }
-  request.algo = opt.algo;
-  request.eps = opt.eps;
-  request.seed = opt.seed;
-  request.want_certificate = opt.certify;
-  request.deadline_ms = opt.deadline_ms;
-  request.instance_text = load_text(opt.file);
-
+  const service::SolveRequest request = make_request(
+      opt, opt.ring ? service::SolveRequest::Kind::kRing
+                    : service::SolveRequest::Kind::kPath);
   const service::Client::SolveOutcome outcome = client.solve(request);
   if (!outcome.ok) {
     std::cerr << "error: " << service::error_code_name(outcome.error_code)
               << ": " << outcome.error_message << "\n";
     return 1;
   }
-  std::cerr << "weight " << outcome.response.weight << " ("
-            << outcome.response.placed << "/" << outcome.response.total_tasks
-            << " tasks) in " << outcome.response.wall_micros
-            << "us server wall time\n";
-  if (outcome.response.degraded) {
-    std::cerr << "note: deadline expired server-side; result is the "
-                 "budget-capped approximation (skipped: "
-              << (outcome.response.skipped.empty() ? "-"
-                                                   : outcome.response.skipped)
-              << ")\n";
-  }
-  if (outcome.response.is_round) {
-    std::cerr << "rounds " << outcome.response.rounds << "\n";
-  }
-  if (opt.certify) {
-    // Trust, but verify: re-check the server's certificate locally through
-    // the independent checker before reporting success.
-    if (outcome.response.certificate_text.empty()) {
-      std::cerr << "error: server returned no certificate (pre-certification "
-                   "server, or the solve was not certifiable)\n";
-      return 1;
-    }
-    std::istringstream cert_is(outcome.response.certificate_text);
-    const cert::Certificate c = read_certificate(cert_is);
-    std::istringstream inst_is(request.instance_text);
-    std::istringstream sol_is(outcome.response.solution_text);
-    const cert::CheckResult check =
-        opt.ring ? cert::check_certificate(read_ring_instance(inst_is),
-                                           read_ring_solution(sol_is), c)
-                 : cert::check_certificate(read_path_instance(inst_is),
-                                           read_sap_solution(sol_is), c);
-    print_cert_summary(c, check.valid);
-    if (!check.valid) {
-      std::cerr << "certificate REJECTED: " << check.reason << "\n";
-      return 1;
-    }
-    if (!opt.cert_out_path.empty()) {
-      write_certificate_to(opt.cert_out_path, c);
-    }
-  }
-  std::cout << outcome.response.solution_text;
-  return 0;
+  return print_response(opt, request, outcome.response);
 }
 
 int dispatch(const std::string& command, const Options& opt) {
@@ -584,7 +557,13 @@ int dispatch(const std::string& command, const Options& opt) {
     return 0;
   }
 
-  if (command == "round") return run_round(opt);
+  if (command == "solve") {
+    return run_local(opt, opt.ring ? service::SolveRequest::Kind::kRing
+                                   : service::SolveRequest::Kind::kPath);
+  }
+  if (command == "round") {
+    return run_local(opt, service::SolveRequest::Kind::kRoundUfp);
+  }
   if (command == "serve") return run_serve(opt);
   if (command == "request") return run_request(opt);
   if (command == "certify") return run_certify(opt);
@@ -644,7 +623,10 @@ int dispatch(const std::string& command, const Options& opt) {
     return 0;
   }
 
-  const PathInstance inst = load(opt.file);
+  if (command != "exact" && command != "bound") {
+    throw UsageError("unknown subcommand: " + command);
+  }
+  const PathInstance inst = path_instance_from_string(load_text(opt.file));
   if (command == "exact") {
     const SapExactResult exact = sap_exact_profile_dp(inst);
     std::cerr << "optimum " << exact.weight
@@ -653,55 +635,7 @@ int dispatch(const std::string& command, const Options& opt) {
     write_sap_solution(std::cout, exact.solution);
     return 0;
   }
-  if (command == "bound") {
-    std::cout << ufpp_lp_upper_bound(inst) << "\n";
-    return 0;
-  }
-  if (command != "solve") throw UsageError("unknown subcommand: " + command);
-
-  SolverParams params;
-  params.eps = opt.eps;
-  params.seed = opt.seed;
-  SapSolution sol;
-  if (opt.algo == "full") {
-    sol = solve_sap(inst, params);
-  } else if (opt.algo == "uniform") {
-    sol = solve_sap_uniform(inst);
-  } else if (opt.algo == "small") {
-    sol = solve_small_tasks(inst, all_ids(inst), params);
-  } else if (opt.algo == "medium") {
-    sol = solve_medium_tasks(inst, all_ids(inst), params);
-  } else if (opt.algo == "large") {
-    sol = solve_large_tasks(inst, all_ids(inst), params);
-  } else {
-    throw UsageError("unknown algorithm: " + opt.algo);
-  }
-  const VerifyResult check = verify_sap(inst, sol);
-  if (!check) {
-    std::cerr << "INTERNAL ERROR: infeasible solution: " << check.reason
-              << "\n";
-    return 1;
-  }
-  std::cerr << "weight " << sol.weight(inst) << " (" << sol.size() << "/"
-            << inst.num_tasks() << " tasks)\n";
-  if (opt.certify) {
-    const cert::CertifyOutcome outcome = cert::certify_solution(inst, sol);
-    if (!outcome.certified) {
-      std::cerr << "error: cannot certify: " << outcome.detail << "\n";
-      return 1;
-    }
-    const cert::CheckResult cert_check =
-        cert::check_certificate(inst, sol, outcome.cert);
-    if (!opt.cert_out_path.empty()) {
-      write_certificate_to(opt.cert_out_path, outcome.cert);
-    }
-    print_cert_summary(outcome.cert, cert_check.valid);
-    if (!cert_check.valid) {
-      std::cerr << "certificate REJECTED: " << cert_check.reason << "\n";
-      return 1;
-    }
-  }
-  write_sap_solution(std::cout, sol);
+  std::cout << ufpp_lp_upper_bound(inst) << "\n";
   return 0;
 }
 

@@ -89,44 +89,4 @@ CertifyOutcome certify_solution(const RingInstance& inst,
                 run_ring_upper_bound_ladder(inst, options.ladder));
 }
 
-CertifiedSapSolve solve_sap_certified(const PathInstance& inst,
-                                      const SolverParams& params,
-                                      const CertifyOptions& options) {
-  CertifiedSapSolve result;
-  result.solution = solve_sap(inst, params);
-  result.outcome = certify_solution(inst, result.solution, options);
-  if (!result.outcome.feasible) {
-    throw std::logic_error("solve_sap produced an infeasible solution: " +
-                           result.outcome.detail);
-  }
-  return result;
-}
-
-CertifiedSapSolve solve_sap_uniform_certified(
-    const PathInstance& inst, const SapUniformOptions& solver_options,
-    const CertifyOptions& options) {
-  CertifiedSapSolve result;
-  result.solution = solve_sap_uniform(inst, solver_options);
-  result.outcome = certify_solution(inst, result.solution, options);
-  if (!result.outcome.feasible) {
-    throw std::logic_error(
-        "solve_sap_uniform produced an infeasible solution: " +
-        result.outcome.detail);
-  }
-  return result;
-}
-
-CertifiedRingSolve solve_ring_sap_certified(const RingInstance& inst,
-                                            const RingSolverParams& params,
-                                            const CertifyOptions& options) {
-  CertifiedRingSolve result;
-  result.solution = solve_ring_sap(inst, params);
-  result.outcome = certify_solution(inst, result.solution, options);
-  if (!result.outcome.feasible) {
-    throw std::logic_error("solve_ring_sap produced an infeasible solution: " +
-                           result.outcome.detail);
-  }
-  return result;
-}
-
 }  // namespace sap::cert

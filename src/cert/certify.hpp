@@ -1,5 +1,6 @@
 // Producer side of certification: turn a (instance, solution) pair into a
-// Certificate, and certified wrappers around the solver entry points.
+// Certificate. Solving and certifying one request is
+// sap::service::solve_request's job (src/service/solve.hpp).
 //
 // certify_solution re-verifies feasibility with the library verifier (the
 // FeasibilityCertificate: the solution itself is the witness, re-checked
@@ -12,12 +13,9 @@
 
 #include "src/cert/certificate.hpp"
 #include "src/cert/ladder.hpp"
-#include "src/core/ring_solver.hpp"
-#include "src/core/sap_solver.hpp"
 #include "src/model/path_instance.hpp"
 #include "src/model/ring_instance.hpp"
 #include "src/model/solution.hpp"
-#include "src/sapu/sapu_solver.hpp"
 
 namespace sap::cert {
 
@@ -45,29 +43,5 @@ struct CertifyOutcome {
 [[nodiscard]] CertifyOutcome certify_solution(const RingInstance& inst,
                                               const RingSapSolution& sol,
                                               const CertifyOptions& options = {});
-
-/// A solve plus its certificate. The wrappers throw std::logic_error if the
-/// solver emits an infeasible solution (a library bug by contract).
-struct CertifiedSapSolve {
-  SapSolution solution;
-  CertifyOutcome outcome;
-};
-
-struct CertifiedRingSolve {
-  RingSapSolution solution;
-  CertifyOutcome outcome;
-};
-
-[[nodiscard]] CertifiedSapSolve solve_sap_certified(
-    const PathInstance& inst, const SolverParams& params = {},
-    const CertifyOptions& options = {});
-
-[[nodiscard]] CertifiedSapSolve solve_sap_uniform_certified(
-    const PathInstance& inst, const SapUniformOptions& solver_options = {},
-    const CertifyOptions& options = {});
-
-[[nodiscard]] CertifiedRingSolve solve_ring_sap_certified(
-    const RingInstance& inst, const RingSolverParams& params = {},
-    const CertifyOptions& options = {});
 
 }  // namespace sap::cert

@@ -177,6 +177,29 @@ ErrorCode parse_error_code(std::string_view name) {
                               std::string(name) + "'");
 }
 
+const char* kind_name(SolveRequest::Kind kind) noexcept {
+  switch (kind) {
+    case SolveRequest::Kind::kPath:
+      return "path";
+    case SolveRequest::Kind::kRing:
+      return "ring";
+    case SolveRequest::Kind::kRoundUfp:
+      return "round-ufp";
+    case SolveRequest::Kind::kRoundSap:
+      return "round-sap";
+  }
+  return "path";
+}
+
+SolveRequest::Kind parse_kind(std::string_view name) {
+  if (name == "path") return SolveRequest::Kind::kPath;
+  if (name == "ring") return SolveRequest::Kind::kRing;
+  if (name == "round-ufp") return SolveRequest::Kind::kRoundUfp;
+  if (name == "round-sap") return SolveRequest::Kind::kRoundSap;
+  EnvelopeParser::fail("bad kind '" + std::string(name.substr(0, 40)) +
+                       "' (want path|ring|round-ufp|round-sap)");
+}
+
 void encode_frame_header(unsigned char* out, FrameType type,
                          std::uint32_t payload_length) noexcept {
   put_u32(out, kFrameMagic);
@@ -194,20 +217,7 @@ bool decode_frame_header(const unsigned char* in, FrameHeader* out) noexcept {
 std::string encode_solve_request(const SolveRequest& request) {
   std::string payload = "sapd-solve v1\n";
   payload += "kind ";
-  switch (request.kind) {
-    case SolveRequest::Kind::kPath:
-      payload += "path";
-      break;
-    case SolveRequest::Kind::kRing:
-      payload += "ring";
-      break;
-    case SolveRequest::Kind::kRoundUfp:
-      payload += "round-ufp";
-      break;
-    case SolveRequest::Kind::kRoundSap:
-      payload += "round-sap";
-      break;
-  }
+  payload += kind_name(request.kind);
   payload += "\nalgo " + request.algo;
   payload += "\neps " + format_f64(request.eps);
   payload += "\nseed " + std::to_string(request.seed);
@@ -224,19 +234,7 @@ SolveRequest parse_solve_request(std::string_view payload) {
   EnvelopeParser parser(payload);
   parser.expect_line("sapd-solve v1");
   SolveRequest request;
-  const std::string_view kind = parser.take("kind");
-  if (kind == "path") {
-    request.kind = SolveRequest::Kind::kPath;
-  } else if (kind == "ring") {
-    request.kind = SolveRequest::Kind::kRing;
-  } else if (kind == "round-ufp") {
-    request.kind = SolveRequest::Kind::kRoundUfp;
-  } else if (kind == "round-sap") {
-    request.kind = SolveRequest::Kind::kRoundSap;
-  } else {
-    EnvelopeParser::fail("bad kind '" + std::string(kind.substr(0, 40)) +
-                         "' (want path|ring|round-ufp|round-sap)");
-  }
+  request.kind = parse_kind(parser.take("kind"));
   request.algo = std::string(parser.take("algo"));
   if (request.algo.empty() || request.algo.size() > 32) {
     EnvelopeParser::fail("bad algo name");

@@ -79,8 +79,8 @@ struct SolveRequest {
   /// kind with a typed BAD_REQUEST and keeps the connection usable.
   enum class Kind { kPath, kRing, kRoundUfp, kRoundSap };
   Kind kind = Kind::kPath;
-  /// Path pipelines: full|uniform|small|medium|large. Round kinds accept
-  /// full (approximation) | exact (oracle). Ignored for rings.
+  /// Path pipelines: full|exact|uniform|small|medium|large. Round kinds
+  /// accept full (approximation) | exact (oracle); rings accept full only.
   std::string algo = "full";
   double eps = 0.5;
   std::uint64_t seed = 1;
@@ -95,6 +95,11 @@ struct SolveRequest {
   bool want_certificate = false;
   std::string instance_text;
 };
+
+/// Wire name of a kind: "path", "ring", "round-ufp" or "round-sap".
+[[nodiscard]] const char* kind_name(SolveRequest::Kind kind) noexcept;
+/// Inverse of kind_name; throws std::invalid_argument on an unknown name.
+[[nodiscard]] SolveRequest::Kind parse_kind(std::string_view name);
 
 [[nodiscard]] std::string encode_solve_request(const SolveRequest& request);
 /// Throws std::invalid_argument on a malformed envelope. The instance text

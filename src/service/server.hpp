@@ -104,10 +104,6 @@ struct ServerOptions {
   /// Server-side default solve budget applied when a request carries no
   /// `deadline_ms` line. 0 = unlimited (the pre-deadline behaviour).
   std::int64_t default_deadline_ms = 0;
-  /// When a deadline expires mid-request: true (default) falls back to the
-  /// budget-capped approximation and marks the response `degraded 1`;
-  /// false rejects with a typed DEADLINE_EXCEEDED error instead.
-  bool degrade_on_deadline = true;
   /// Buffered response bytes making no progress toward a peer for this
   /// long poison the connection (the event-loop replacement for
   /// SO_SNDTIMEO): a dead or half-open peer can only pin resources for a
@@ -130,6 +126,8 @@ struct ServerStats {
   std::uint64_t requests_overloaded = 0;
   std::uint64_t requests_shutting_down = 0;
   std::uint64_t requests_internal_error = 0;
+  /// Always 0: an expired deadline degrades a request instead of failing
+  /// it. Kept because the stats schema publishes it.
   std::uint64_t requests_deadline_exceeded = 0;
   std::uint64_t requests_degraded = 0;  ///< served ok, but degraded
   std::uint64_t stats_requests = 0;
@@ -219,7 +217,8 @@ class Server {
   void run_and_respond(const ResponseTarget& target,
                        const SolveRequest& request,
                        const std::optional<InstanceDigest>& cache_key);
-  /// Pure solve: fills response or rejection; true = served.
+  /// Runs solve_request under the request's budget: fills response, or a
+  /// BAD_REQUEST / INTERNAL rejection; true = served.
   bool run_solve_request(const SolveRequest& request, SolveResponse* response,
                          ErrorResponse* rejection);
   void complete_ok(const ResponseTarget& target, const std::string& payload);
@@ -262,7 +261,6 @@ class Server {
   std::atomic<std::uint64_t> requests_overloaded_{0};
   std::atomic<std::uint64_t> requests_shutting_down_{0};
   std::atomic<std::uint64_t> requests_internal_error_{0};
-  std::atomic<std::uint64_t> requests_deadline_exceeded_{0};
   std::atomic<std::uint64_t> requests_degraded_{0};
   std::atomic<std::uint64_t> stats_requests_{0};
   std::atomic<std::uint64_t> batch_requests_{0};

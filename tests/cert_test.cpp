@@ -150,28 +150,6 @@ TEST(CertifyTest, SolverProducedCertificatesPassTheChecker) {
   }
 }
 
-TEST(CertifyTest, CertifiedWrappersRoundTrip) {
-  const PathInstance inst = tiny_instance(7);
-  const cert::CertifiedSapSolve full = cert::solve_sap_certified(inst);
-  ASSERT_TRUE(full.outcome.certified) << full.outcome.detail;
-  EXPECT_TRUE(
-      cert::check_certificate(inst, full.solution, full.outcome.cert).valid);
-
-  const cert::CertifiedSapSolve uniform =
-      cert::solve_sap_uniform_certified(inst);
-  ASSERT_TRUE(uniform.outcome.certified) << uniform.outcome.detail;
-  EXPECT_TRUE(
-      cert::check_certificate(inst, uniform.solution, uniform.outcome.cert)
-          .valid);
-
-  const RingInstance ring = tiny_ring(7);
-  const cert::CertifiedRingSolve rsolve = cert::solve_ring_sap_certified(ring);
-  ASSERT_TRUE(rsolve.outcome.certified) << rsolve.outcome.detail;
-  EXPECT_TRUE(
-      cert::check_certificate(ring, rsolve.solution, rsolve.outcome.cert)
-          .valid);
-}
-
 TEST(CertifyTest, EmptySolutionGetsNoFiniteRatio) {
   const PathInstance inst = tiny_instance(5);
   const SapSolution empty;
@@ -352,34 +330,33 @@ TEST(CheckTest, ExactRungBeyondVerifierBudgetIsUnverifiable) {
 
 TEST(CheckTest, RingCertificateRejectsExactRungs) {
   const RingInstance ring = tiny_ring(3);
-  const cert::CertifiedRingSolve solve = cert::solve_ring_sap_certified(ring);
-  ASSERT_TRUE(solve.outcome.certified) << solve.outcome.detail;
-  cert::Certificate c = solve.outcome.cert;
+  const RingSapSolution sol = solve_ring_sap(ring);
+  const cert::CertifyOutcome outcome = cert::certify_solution(ring, sol);
+  ASSERT_TRUE(outcome.certified) << outcome.detail;
+  cert::Certificate c = outcome.cert;
   c.ub.rung = cert::UbRung::kExactDp;
-  EXPECT_FALSE(cert::check_certificate(ring, solve.solution, c).valid);
+  EXPECT_FALSE(cert::check_certificate(ring, sol, c).valid);
 }
 
 TEST(CheckTest, RingMutationsAreRejected) {
   const RingInstance ring = tiny_ring(9);
-  const cert::CertifiedRingSolve solve = cert::solve_ring_sap_certified(ring);
-  ASSERT_TRUE(solve.outcome.certified) << solve.outcome.detail;
-  ASSERT_TRUE(
-      cert::check_certificate(ring, solve.solution, solve.outcome.cert)
-          .valid);
+  const RingSapSolution sol = solve_ring_sap(ring);
+  const cert::CertifyOutcome outcome = cert::certify_solution(ring, sol);
+  ASSERT_TRUE(outcome.certified) << outcome.detail;
+  ASSERT_TRUE(cert::check_certificate(ring, sol, outcome.cert).valid);
 
-  cert::Certificate c = solve.outcome.cert;
+  cert::Certificate c = outcome.cert;
   c.solution_weight += 1;
-  EXPECT_FALSE(cert::check_certificate(ring, solve.solution, c).valid);
+  EXPECT_FALSE(cert::check_certificate(ring, sol, c).valid);
 
-  c = solve.outcome.cert;
+  c = outcome.cert;
   c.kind = cert::Certificate::Kind::kPath;
-  EXPECT_FALSE(cert::check_certificate(ring, solve.solution, c).valid);
+  EXPECT_FALSE(cert::check_certificate(ring, sol, c).valid);
 
-  if (!solve.solution.placements.empty()) {
-    RingSapSolution bad = solve.solution;
+  if (!sol.placements.empty()) {
+    RingSapSolution bad = sol;
     bad.placements.push_back(bad.placements.front());
-    EXPECT_FALSE(
-        cert::check_certificate(ring, bad, solve.outcome.cert).valid);
+    EXPECT_FALSE(cert::check_certificate(ring, bad, outcome.cert).valid);
   }
 }
 
