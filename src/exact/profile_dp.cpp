@@ -11,13 +11,12 @@
 
 // Memory substrate: every state the sweep creates lives in flat arena pools
 // (slot spans, placement spans, fixed-size records) instead of per-state
-// heap vectors, and profile dedupe runs on a flat open-addressing table
-// instead of node-based unordered_map. A state is three bulk appends; a
+// heap vectors, and crossing-profile dedupe runs on a flat open-addressing
+// table instead of node-based unordered_map. A state is three appends; a
 // whole solve is recycled with one arena rewind, so a warmed thread
 // performs zero heap allocations here. The state *semantics* — emit order,
-// dedupe and collision handling, overflow brake, truncation — are
-// byte-identical to the vector-based implementation (locked by
-// tests/golden_test.cpp and exact_test).
+// first-seen dedupe and collision handling, overflow brake, truncation —
+// are locked by tests/golden_test.cpp and exact_test.
 
 namespace sap {
 namespace {
@@ -34,7 +33,7 @@ struct Slot {
 
   friend bool operator==(const Slot&, const Slot&) = default;
   // sapkit-lint: allow(exact-arith) -- slots are only created with
-  // h + d <= cap <= 2^62 (see place()/free_span), so the top is exact.
+  // h + d <= b(j) <= 2^62 (see StarterEnumerator::run), so the top is exact.
   [[nodiscard]] Value top() const noexcept { return height + demand; }
 };
 static_assert(sizeof(Slot) == 24);  // no hidden padding left for memcmp
@@ -177,10 +176,15 @@ struct SweepContext {
   // mutated by the enumeration DFS) and the placements added at this edge.
   std::vector<Slot> slots;
   std::vector<Placement> added;
-  // Running profile digest of `slots`, maintained incrementally at every
-  // insert/remove (commutative sum — see slot_digest).
+  // The edge being swept. Slots with last == edge block placements here but
+  // do not cross into edge + 1, so they are left out of the state's identity.
+  EdgeId edge = 0;
+  // Running digest and length of the crossing part of `slots` (last > edge),
+  // maintained incrementally at every insert/remove (commutative sum — see
+  // slot_digest).
   std::uint64_t key_sum = 0;
   std::uint64_t fp_sum = 0;
+  std::uint32_t crossing_len = 0;
   // Grounded-mode candidate heights, one buffer per DFS depth (a deeper
   // place() must not clobber the list its caller is iterating).
   std::vector<std::vector<Value>> candidates_by_depth;
@@ -226,11 +230,11 @@ struct SweepContext {
       // 128 bits of digest plus the length identify the profile; no byte
       // comparison against the pool is needed (and the reject path below
       // therefore costs exactly one cache line: the entry itself).
-      if (entry.slots_len == slots.size() && entry.fp == fp_sum) {
+      if (entry.slots_len == crossing_len && entry.fp == fp_sum) {
         if (entry.weight >= total) return;  // dominated duplicate
         // Overwrite the weaker state in place; `next` already points at it
-        // and the stored slot span is byte-equal, so only the payload and
-        // the added-placement span change.
+        // and the stored crossing profile is byte-equal, so only the payload
+        // and the added-placement span change.
         StateRec& rec =
             states[static_cast<std::size_t>(entry.id_plus1 - 1)];
         rec.added_off = added_pool.size();
@@ -245,8 +249,10 @@ struct SweepContext {
     }
     StateRec rec;
     rec.slots_off = slot_pool.size();
-    rec.slots_len = static_cast<std::uint32_t>(slots.size());
-    slot_pool.append(slots.data(), slots.size());
+    rec.slots_len = crossing_len;
+    for (const Slot& s : slots) {
+      if (s.last != edge) slot_pool.push_back(s);
+    }
     rec.added_off = added_pool.size();
     rec.added_len = static_cast<std::uint32_t>(added.size());
     added_pool.append(added.data(), added.size());
@@ -264,18 +270,20 @@ struct SweepContext {
 /// Enumerates placements of `starters[i..]` on top of the context's slot
 /// profile, invoking SweepContext::emit at every leaf (including "place
 /// none"). Static dispatch — no std::function on the hot path.
+///
+/// Every height h of a starter j satisfies h + d_j <= b(j), the paper's
+/// feasibility rule on all of I_j at once, so a placed slot fits under
+/// every later edge of its span and the sweep never re-checks capacities.
 struct StarterEnumerator {
   SweepContext& ctx;
   const std::vector<TaskId>& starters;
-  Value cap;
-  std::size_t max_heights;
   Value min_height;
   bool grounded_only;
   Weight added_weight = 0;
 
   [[nodiscard]] bool free_span(Value h, Value demand) const {
     for (const Slot& s : ctx.slots) {
-      // sapkit-lint: allow(exact-arith) -- h <= cap and d <= cap <= 2^62
+      // sapkit-lint: allow(exact-arith) -- h <= b(j) and d <= b(j) <= 2^62
       // (instance construction), so h + d <= 2^63 stays exact in int64.
       if (s.height >= h + demand) break;  // sorted: all later are above
       if (s.top() > h) return false;
@@ -292,9 +300,10 @@ struct StarterEnumerator {
     run(i + 1);  // skip starters[i]
     const TaskId j = starters[i];
     const Task& t = ctx.inst.task(j);
-    // sapkit-lint: allow(exact-arith) -- min_height <= cap and d <= cap <=
+    const Value bottleneck = ctx.inst.bottleneck(j);
+    // sapkit-lint: allow(exact-arith) -- min_height <= b(j) and d <= b(j) <=
     // 2^62 (instance construction), so the sum is exact in int64.
-    if (min_height + t.demand > cap) return;
+    if (min_height + t.demand > bottleneck) return;
     if (grounded_only) {
       // Candidates: the floor and the top of every alive slot.
       if (i >= ctx.candidates_by_depth.size()) {
@@ -314,33 +323,29 @@ struct StarterEnumerator {
       std::ranges::sort(candidates);
       candidates.erase(std::unique(candidates.begin(), candidates.end()),
                        candidates.end());
-      std::size_t tried = 0;
       for (Value h : candidates) {
-        // sapkit-lint: allow(exact-arith) -- candidate tops are <= cap and
-        // d <= cap <= 2^62, so the sum is exact in int64.
-        if (h + t.demand > cap) break;
+        // sapkit-lint: allow(exact-arith) -- candidate tops are <= c_e <=
+        // 2^62 and d <= b(j) <= 2^62, so the sum is exact in int64.
+        if (h + t.demand > bottleneck) break;
         if (!free_span(h, t.demand)) continue;
-        if (max_heights != 0 && tried >= max_heights) return;
-        ++tried;
         place(i, j, t, h);
       }
       return;
     }
     // Try every integral height whose span is free. Walk the free gaps of
     // the (sorted) profile so each feasible height is visited once.
-    std::size_t tried = 0;
     Value h = min_height;
     std::size_t k = 0;
-    // sapkit-lint: allow(exact-arith) -- h <= cap (starts at min_height and
-    // jumps to slot tops <= cap) and d <= cap <= 2^62: exact in int64.
-    while (h + t.demand <= cap) {
+    // sapkit-lint: allow(exact-arith) -- h <= c_e (starts at min_height and
+    // jumps to slot tops <= c_e) and d <= b(j) <= 2^62: exact in int64.
+    while (h + t.demand <= bottleneck) {
       // Skip forward over any slot blocking [h, h+demand).
       bool blocked = false;
       for (; k < ctx.slots.size(); ++k) {
         const Slot& s = ctx.slots[k];
         if (s.top() <= h) continue;           // entirely below
-        // sapkit-lint: allow(exact-arith) -- same h <= cap, d <= cap <= 2^62
-        // bound as the loop condition above: exact in int64.
+        // sapkit-lint: allow(exact-arith) -- same h <= c_e, d <= b(j) <=
+        // 2^62 bound as the loop condition above: exact in int64.
         if (s.height >= h + t.demand) break;  // entirely above; gap is free
         h = s.top();                          // jump past the blocker
         blocked = true;
@@ -348,15 +353,13 @@ struct StarterEnumerator {
       }
       if (blocked) continue;
       // [h, h+demand) is free; recurse with every height in this gap.
-      Value gap_end = cap;
+      Value gap_end = bottleneck;
       if (k < ctx.slots.size()) {
         gap_end = std::min(gap_end, ctx.slots[k].height);
       }
-      // sapkit-lint: allow(exact-arith) -- hh <= gap_end <= cap and d <=
-      // cap <= 2^62 (instance construction): exact in int64.
+      // sapkit-lint: allow(exact-arith) -- hh <= gap_end <= b(j) and d <=
+      // b(j) <= 2^62 (instance construction): exact in int64.
       for (Value hh = h; hh + t.demand <= gap_end; ++hh) {
-        if (max_heights != 0 && tried >= max_heights) return;
-        ++tried;
         place(i, j, t, hh);
       }
       if (k >= ctx.slots.size()) return;  // explored the unbounded top gap
@@ -375,9 +378,13 @@ struct StarterEnumerator {
     // SweepContext); capacity persists across states and edges, so growth
     // amortizes to zero on warm solves.
     ctx.slots.insert(pos, slot);
-    const SlotDigest digest = slot_digest(slot);
+    // A starter that also ends at this edge blocks later starters here but
+    // never reaches the crossing profile.
+    const bool crossing = slot.last != ctx.edge;
+    const SlotDigest digest = crossing ? slot_digest(slot) : SlotDigest{0, 0};
     ctx.key_sum += digest.key;
     ctx.fp_sum += digest.fp;
+    ctx.crossing_len += crossing ? 1U : 0U;
     // sapkit-analyze: allow(arena-discipline) -- reused placement scratch;
     // capacity persists across states and edges.
     ctx.added.push_back({j, h});
@@ -387,6 +394,7 @@ struct StarterEnumerator {
     run(i + 1);
     added_weight -= t.weight;
     ctx.added.pop_back();
+    ctx.crossing_len -= crossing ? 1U : 0U;
     ctx.key_sum -= digest.key;
     ctx.fp_sum -= digest.fp;
     ctx.slots.erase(ctx.slots.begin() + static_cast<std::ptrdiff_t>(idx));
@@ -417,12 +425,12 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
   ctx.frontier.push_back(0);
   SapExactResult out;
   out.peak_states = 1;
-  if (options.grounded_only || options.max_heights_per_task != 0) {
+  if (options.grounded_only) {
     out.proven_optimal = false;  // restricted height candidates: heuristic
   }
 
   for (EdgeId e = 0; e < m; ++e) {
-    const Value cap = inst.capacity(e);
+    ctx.edge = e;
     ctx.dedupe.clear(ctx.frontier.size());
     ctx.next.clear();
     ctx.overflow = false;
@@ -434,38 +442,31 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
       const std::int32_t sid = ctx.frontier[fi];
       // Copy the record: the states pool may grow (and move) during emits.
       const StateRec rec = ctx.states[static_cast<std::size_t>(sid)];
-      // Drop tasks ending before e; kill the state if a survivor no longer
-      // fits under this edge's capacity.
+      // The stored profile is exactly what crossed into e; of it, the slots
+      // ending at e still block placements but leave the digest.
       ctx.slots.clear();
       ctx.key_sum = 0;
       ctx.fp_sum = 0;
-      bool alive = true;
+      ctx.crossing_len = 0;
       const Slot* pool = ctx.slot_pool.data() + rec.slots_off;
       for (std::uint32_t si = 0; si < rec.slots_len; ++si) {
         const Slot& s = pool[si];
-        if (s.last < e) continue;
-        if (s.top() > cap) {
-          alive = false;
-          break;
-        }
         // sapkit-analyze: allow(arena-discipline) -- reused profile scratch;
         // capacity persists across states, so growth amortizes to zero.
         ctx.slots.push_back(s);
+        if (s.last == e) continue;
         const SlotDigest digest = slot_digest(s);
         ctx.key_sum += digest.key;
         ctx.fp_sum += digest.fp;
+        ++ctx.crossing_len;
       }
-      if (!alive) continue;
 
       ctx.added.clear();
       ctx.base_weight = rec.weight;
       ctx.parent = sid;
       StarterEnumerator enumerator{ctx,
                                    starters_at[static_cast<std::size_t>(e)],
-                                   cap,
-                                   options.max_heights_per_task,
-                                   options.min_height,
-                                   options.grounded_only,
+                                   options.min_height, options.grounded_only,
                                    0};
       enumerator.run(0);
     }

@@ -2,11 +2,14 @@
 // "profiles", in the style of Chen, Hassin, Tzur [18] (O(n (nK)^K) for
 // integer capacity K) and of the paper's Lemma 13 DP.
 //
-// A state at edge e is the canonical multiset of (height, demand, last-edge)
-// slots of the selected tasks alive at e; integral heights are WLOG for
-// integral demands (gravity, Observation 11). States are merged by profile
-// (task identity beyond (height, demand, last) is irrelevant to future
-// feasibility), keeping the maximum accumulated weight.
+// A state after edge e is the canonical multiset of (height, demand,
+// last-edge) slots of the selected tasks that cross into e + 1; integral
+// heights are WLOG for integral demands (gravity, Observation 11). States are
+// merged by this crossing profile (task identity beyond (height, demand,
+// last) is irrelevant to future feasibility, and a task ending at e is
+// irrelevant from e + 1 on), keeping the maximum accumulated weight. Every
+// height h of a task j satisfies h + d_j <= b(j), its bottleneck, so a
+// placement is feasible on its whole span the moment it is made.
 //
 // This is the exact oracle behind the medium-task Elevator (Lemma 13) and
 // behind every measured-approximation-ratio bench.
@@ -27,9 +30,6 @@ struct SapExactOptions {
   /// Beam cap on live states per edge; exceeding it truncates to the best
   /// states and clears `proven_optimal`.
   std::size_t max_states = 500'000;
-  /// Cap on candidate heights tried per starting task per state (0 = all
-  /// integer heights). Leave 0 for exactness.
-  std::size_t max_heights_per_task = 0;
   /// Every placement must satisfy height >= min_height: used by the medium-
   /// task Elevator to compute optimal beta-elevated solutions directly (the
   /// paper's remark after Lemma 15).

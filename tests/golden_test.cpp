@@ -13,6 +13,7 @@
 // rewrites every fixture in the source tree; review the diff like code.
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -27,6 +28,7 @@
 #include "src/gen/paper_instances.hpp"
 #include "src/harness/batch_runner.hpp"
 #include "src/io/instance_io.hpp"
+#include "src/util/telemetry.hpp"
 
 #ifndef SAPKIT_GOLDEN_DIR
 #error "SAPKIT_GOLDEN_DIR must point at the checked-in fixture directory"
@@ -283,6 +285,28 @@ TEST(GoldenCorpusTest, PathCasesAreByteIdentical) {
   for (const GoldenCase& c : build_path_corpus()) {
     check_against_fixture(c.name, render_path_case(c));
   }
+}
+
+// A deterministic work ceiling on the one hot loop: the profile DP states
+// created while solving the 15 E6 cases. It counts work, not time, so it
+// holds on any machine; a change that makes the DP do more than 10% more
+// work than the recorded figure fails here even if every byte above agrees.
+TEST(GoldenCorpusTest, E6ProfileDpWorkStaysUnderCeiling) {
+  constexpr std::int64_t kRecordedStatesExpanded = 125431;
+  TelemetryReport report;
+  {
+    const TelemetrySession session(&report);
+    for (const GoldenCase& c : build_path_corpus()) {
+      if (c.name.rfind("e6_", 0) != 0) continue;
+      static_cast<void>(solve_sap(c.instance, c.params));
+    }
+  }
+  const std::int64_t expanded = report.count("dp.states.expanded");
+  EXPECT_GT(expanded, 0);
+  EXPECT_LE(expanded * 10, kRecordedStatesExpanded * 11)
+      << "dp.states.expanded = " << expanded << ", recorded "
+      << kRecordedStatesExpanded;
+  EXPECT_EQ(report.count("dp.truncated"), 0);
 }
 
 TEST(GoldenCorpusTest, RingCasesAreByteIdentical) {
