@@ -36,8 +36,8 @@ int main() {
       config.gen.min_capacity = 8;
       config.gen.max_capacity = 48;
       config.gen.demand = DemandClass::kMixed;
-      config.bound.exact_max_tasks = 26;
-      config.bound.exact_max_capacity = 48;
+      config.bound.exact_dp_max_tasks = 26;
+      config.bound.exact_dp_max_capacity = 48;
 
       BatchOptions options;
       options.num_instances = 20;

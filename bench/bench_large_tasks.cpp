@@ -48,9 +48,9 @@ int main() {
             std::iota(all.begin(), all.end(), TaskId{0});
             const SapSolution sol = solve_large_tasks(inst, all, params);
             if (!verify_sap(inst, sol)) return;
-            OptBoundOptions bopt;
-            bopt.exact_max_tasks = 30;
-            bopt.exact_max_capacity = 8 * k;
+            cert::LadderOptions bopt = measurement_ladder();
+            bopt.exact_dp_max_tasks = 30;
+            bopt.exact_dp_max_capacity = 8 * k;
             const RatioMeasurement m = measure_ratio(inst, sol, bopt);
             ratios[trial].add(m.ratio);
             // Lemma 17 on the exact optimum's rectangles.

@@ -51,8 +51,8 @@ int main() {
             std::iota(all.begin(), all.end(), TaskId{0});
             const SapSolution sol = solve_medium_tasks(inst, all, params);
             if (!verify_sap(inst, sol)) return;
-            OptBoundOptions bopt;
-            bopt.exact_max_tasks = 30;
+            cert::LadderOptions bopt = measurement_ladder();
+            bopt.exact_dp_max_tasks = 30;
             const RatioMeasurement m = measure_ratio(inst, sol, bopt);
             ratios[trial].add(m.ratio);
             exact[trial] = m.bound_exact ? 1 : 0;

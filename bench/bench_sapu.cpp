@@ -47,9 +47,9 @@ int main() {
               const SapSolution sol =
                   solve_sap_uniform(inst, options, &report);
               if (!verify_sap(inst, sol)) return;
-              OptBoundOptions bopt;
-              bopt.exact_max_tasks = 20;
-              bopt.exact_max_capacity = 40;
+              cert::LadderOptions bopt = measurement_ladder();
+              bopt.exact_dp_max_tasks = 20;
+              bopt.exact_dp_max_capacity = 40;
               const RatioMeasurement m = measure_ratio(inst, sol, bopt);
               ratios[trial].add(m.ratio);
               retention[trial].add(report.strip_retention);

@@ -65,8 +65,8 @@ int main() {
                 const SapSolution sol =
                     solve_small_tasks(inst, all, params);
                 if (!verify_sap(inst, sol)) return;  // counted as missing
-                OptBoundOptions bound;
-                bound.exact_max_tasks = 28;
+                cert::LadderOptions bound = measurement_ladder();
+                bound.exact_dp_max_tasks = 28;
                 const RatioMeasurement m = measure_ratio(inst, sol, bound);
                 ratios[trial].add(m.ratio);
                 exact[trial] = m.bound_exact ? 1 : 0;

@@ -11,7 +11,7 @@
 //   sapkit_cli bound   [file]            # LP upper bound on OPT
 //   sapkit_cli round   [--kind round-ufp|round-sap] [--algo full|exact]
 //                      [file]            # min-round packing of all tasks
-//   sapkit_cli gen     [--edges M] [--tasks N] [--seed S] [--nba]
+//   sapkit_cli gen     [--edges M] [--tasks N] [--seed S] [--nba | --ring]
 //   sapkit_cli batch   [--count N] [--seed S] [--threads T] [--edges M]
 //                      [--tasks N] [--profile P] [--demand D] [--eps X]
 //                      [--ring] [--kind round-ufp|round-sap] [--no-timings]
@@ -84,7 +84,7 @@ void print_usage(std::ostream& os) {
         "          --seed N [--ring] [--kind K] [--certify]\n"
         "          [--cert-out FILE]\n"
         "  round   [--kind round-ufp|round-sap] [--algo full|exact] [file]\n"
-        "  gen     --edges M --tasks N --seed S [--nba]\n"
+        "  gen     --edges M --tasks N --seed S [--nba | --ring]\n"
         "  batch   --count N --seed S --threads T --edges M --tasks N\n"
         "          --profile uniform|valley|mountain|staircase|walk\n"
         "          --demand small|medium|large|mixed --eps X [--certify]\n"
@@ -542,7 +542,15 @@ int run_request(const Options& opt) {
 
 int dispatch(const std::string& command, const Options& opt) {
   if (command == "gen") {
+    if (opt.nba && opt.ring) throw UsageError("gen: --nba and --ring conflict");
     Rng rng(opt.seed);
+    if (opt.ring) {
+      RingGenOptions gen;
+      gen.num_edges = opt.edges;
+      gen.num_tasks = opt.tasks;
+      write_ring_instance(std::cout, generate_ring_instance(gen, rng));
+      return 0;
+    }
     if (opt.nba) {
       round::RoundGenOptions gen;
       gen.base.num_edges = opt.edges;

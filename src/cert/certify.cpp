@@ -1,8 +1,5 @@
 #include "src/cert/certify.hpp"
 
-#include <stdexcept>
-#include <utility>
-
 #include "src/model/verify.hpp"
 #include "src/util/checked.hpp"
 #include "src/util/telemetry.hpp"
@@ -10,32 +7,27 @@
 namespace sap::cert {
 namespace {
 
-/// Checked recomputation of w(S); certification refuses to claim a weight
-/// that does not fit in int64.
-bool checked_solution_weight(const PathInstance& inst, const SapSolution& sol,
-                             Weight* out) {
-  Weight total = 0;
-  for (const Placement& p : sol.placements) {
-    if (!checked_add(total, inst.task(p.task).weight, &total)) return false;
+/// The shared path/ring body. `feasible` is the library verifier's verdict
+/// on `sol`; the solution weight is recomputed with checked arithmetic, so
+/// certification refuses to claim a weight that does not fit in int64.
+template <typename Instance, typename Solution>
+CertifyOutcome certify(const Instance& inst, const Solution& sol,
+                       Certificate::Kind kind, const VerifyResult& feasible,
+                       const CertifyOptions& options) {
+  CertifyOutcome outcome;
+  if (!feasible) {
+    outcome.detail = "infeasible solution: " + feasible.reason;
+    return outcome;
   }
-  *out = total;
-  return true;
-}
-
-bool checked_solution_weight(const RingInstance& inst,
-                             const RingSapSolution& sol, Weight* out) {
-  Weight total = 0;
-  for (const RingPlacement& p : sol.placements) {
-    if (!checked_add(total, inst.task(p.task).weight, &total)) return false;
+  outcome.feasible = true;
+  Weight weight = 0;
+  for (const auto& p : sol.placements) {
+    if (!checked_add(weight, inst.task(p.task).weight, &weight)) {
+      outcome.detail = "solution weight overflows int64";
+      return outcome;
+    }
   }
-  *out = total;
-  return true;
-}
-
-template <typename Outcome>
-Outcome finish(Outcome outcome, Certificate::Kind kind, Weight weight,
-               LadderResult ladder) {
-  outcome.ladder = std::move(ladder);
+  outcome.ladder = run_upper_bound_ladder(inst, options.ladder);
   if (!outcome.ladder.proven) {
     outcome.detail = "upper-bound ladder could not prove any bound";
     return outcome;
@@ -54,39 +46,15 @@ Outcome finish(Outcome outcome, Certificate::Kind kind, Weight weight,
 CertifyOutcome certify_solution(const PathInstance& inst,
                                 const SapSolution& sol,
                                 const CertifyOptions& options) {
-  CertifyOutcome outcome;
-  const VerifyResult feasible = verify_sap(inst, sol);
-  if (!feasible) {
-    outcome.detail = "infeasible solution: " + feasible.reason;
-    return outcome;
-  }
-  outcome.feasible = true;
-  Weight weight = 0;
-  if (!checked_solution_weight(inst, sol, &weight)) {
-    outcome.detail = "solution weight overflows int64";
-    return outcome;
-  }
-  return finish(std::move(outcome), Certificate::Kind::kPath, weight,
-                run_upper_bound_ladder(inst, options.ladder));
+  return certify(inst, sol, Certificate::Kind::kPath, verify_sap(inst, sol),
+                 options);
 }
 
 CertifyOutcome certify_solution(const RingInstance& inst,
                                 const RingSapSolution& sol,
                                 const CertifyOptions& options) {
-  CertifyOutcome outcome;
-  const VerifyResult feasible = verify_ring_sap(inst, sol);
-  if (!feasible) {
-    outcome.detail = "infeasible solution: " + feasible.reason;
-    return outcome;
-  }
-  outcome.feasible = true;
-  Weight weight = 0;
-  if (!checked_solution_weight(inst, sol, &weight)) {
-    outcome.detail = "solution weight overflows int64";
-    return outcome;
-  }
-  return finish(std::move(outcome), Certificate::Kind::kRing, weight,
-                run_ring_upper_bound_ladder(inst, options.ladder));
+  return certify(inst, sol, Certificate::Kind::kRing,
+                 verify_ring_sap(inst, sol), options);
 }
 
 }  // namespace sap::cert

@@ -6,13 +6,25 @@
 #include <cstdint>
 #include <limits>
 #include <span>
+#include <string>
+#include <type_traits>
 #include <vector>
 
+#include "src/exact/profile_dp.hpp"
 #include "src/lp/simplex.hpp"
+#include "src/ufpp/branch_and_bound.hpp"
+#include "src/util/checked.hpp"
 #include "src/util/telemetry.hpp"
 
 namespace sap::cert {
 namespace {
+
+/// Fixed rung budgets: the exact_dp beam cap, the ufpp_bnb node budget and
+/// the fixed-point denominator S of the repaired dual prices (recorded in
+/// every lp_dual certificate, so the checker needs no copy of it).
+constexpr std::size_t kExactDpMaxStates = 100'000;
+constexpr std::size_t kUfppBnbMaxNodes = 2'000'000;
+constexpr std::int64_t kDualScale = std::int64_t{1} << 20;
 
 // sapkit-lint: allow(determinism) -- the monotonic clock feeds per-rung
 // wall-time telemetry only; ladder bounds and rung order never read it.
@@ -25,36 +37,34 @@ double seconds_since(Clock::time_point start) {
 }
 // sapkit-lint: end-allow(float-ban)
 
-const char* rung_counter_name(UbRung rung) {
-  switch (rung) {
-    case UbRung::kExactDp:
-      return "cert.ladder.exact_dp";
-    case UbRung::kUfppBnb:
-      return "cert.ladder.ufpp_bnb";
-    case UbRung::kLpDual:
-      return "cert.ladder.lp_dual";
-    case UbRung::kTotalWeight:
-      return "cert.ladder.total_weight";
-  }
-  return "cert.ladder.total_weight";
-}
-
-bool checked_add(Int128 a, Int128 b, Int128* out) {
-  return !__builtin_add_overflow(a, b, out);
-}
-
-bool checked_mul(Int128 a, Int128 b, Int128* out) {
-  return !__builtin_mul_overflow(a, b, out);
-}
-
-/// Sum of all task weights, or nullopt-style failure via the bool return.
-bool checked_total_weight(std::span<const Weight> weights, Weight* out) {
+/// Sum of all task weights; false when it overflows int64.
+template <typename Instance>
+bool checked_total_weight(const Instance& inst, Weight* out) {
   Weight total = 0;
-  for (Weight w : weights) {
-    if (__builtin_add_overflow(total, w, &total)) return false;
+  for (std::size_t j = 0; j < inst.num_tasks(); ++j) {
+    if (!checked_add(total, inst.task(static_cast<TaskId>(j)).weight,
+                     &total)) {
+      return false;
+    }
   }
   *out = total;
   return true;
+}
+
+/// The routes task j may take, as edge lists: a path task has the one route
+/// [first, last]; a ring task has its clockwise then its counter-clockwise
+/// route (Lemma 18's two orientations).
+std::vector<std::vector<EdgeId>> task_routes(const PathInstance& inst,
+                                             TaskId j) {
+  const Task& t = inst.task(j);
+  std::vector<EdgeId> route;
+  for (EdgeId e = t.first; e <= t.last; ++e) route.push_back(e);
+  return {std::move(route)};
+}
+
+std::vector<std::vector<EdgeId>> task_routes(const RingInstance& inst,
+                                             TaskId j) {
+  return {inst.route_edges(j, true), inst.route_edges(j, false)};
 }
 
 /// Rounds one simplex-suggested price to the scaled integral grid. Any
@@ -73,11 +83,10 @@ bool repair_price(double y, std::int64_t scale, std::int64_t* out) {
 }
 // sapkit-lint: end-allow(float-ban)
 
-/// Exact evaluation of the repaired dual bound shared by path and ring:
+/// Exact evaluation of the repaired dual bound:
 /// UB = floor((sum_e c_e*Y_e + sum_j z_j) / S) with
-/// z_j = max(0, w_j*S - d_j * price_j) and price_j supplied per task
-/// (the route price sum — for rings, the cheaper direction). Returns false
-/// on 128-bit overflow.
+/// z_j = max(0, w_j*S - d_j * price_j) and price_j supplied per task (the
+/// price sum of its cheapest route). Returns false on 128-bit overflow.
 bool evaluate_dual_bound(std::span<const Value> capacities,
                          std::span<const std::int64_t> prices,
                          std::span<const Int128> task_price,
@@ -105,15 +114,18 @@ bool evaluate_dual_bound(std::span<const Value> capacities,
   return true;
 }
 
-/// Attempts the lp_dual rung for a path instance: solves the dual of the
-/// UFPP LP relaxation (min c.y + sum z s.t. d_j sum_{e in I_j} y_e + z_j >=
-/// w_j, y,z >= 0) with the primal simplex, then repairs the prices exactly.
-bool try_path_lp_dual(const PathInstance& inst, const LadderOptions& options,
-                      UpperBoundCertificate* out, bool* timed_out) {
+/// Attempts the lp_dual rung: solves the dual of the UFPP LP relaxation
+/// (min c.y + sum z s.t. d_j sum_{e in R} y_e + z_j >= w_j for every route
+/// R of task j, y,z >= 0) with the primal simplex, then repairs the prices
+/// exactly. The exact slack uses each task's cheapest route, matching the
+/// verifier in check.cpp.
+template <typename Instance>
+bool try_lp_dual(const Instance& inst, const Deadline& deadline,
+                 UpperBoundCertificate* out, bool* timed_out) {
   const std::size_t m = inst.num_edges();
   const std::size_t n = inst.num_tasks();
-  if (n == 0 || options.dual_scale <= 0) return false;
-  DeadlineGate gate(options.deadline);
+  if (n == 0) return false;
+  DeadlineGate gate(deadline);
 
   // sapkit-lint: begin-allow(float-ban) -- LP-dual-repair region: the dual
   // LP is posed in doubles for the simplex, but its solution is only ever a
@@ -125,100 +137,17 @@ bool try_path_lp_dual(const PathInstance& inst, const LadderOptions& options,
         static_cast<EdgeId>(e)));
   }
   for (std::size_t j = 0; j < n; ++j) dual.objective[m + j] = -1.0;
-  dual.constraints.reserve(n);
   for (std::size_t j = 0; j < n; ++j) {
     if (gate.expired()) {
       *timed_out = true;
       return false;
     }
-    const Task& t = inst.task(static_cast<TaskId>(j));
-    LpConstraint row;
-    row.coeffs.assign(m + n, 0.0);
-    for (EdgeId e = t.first; e <= t.last; ++e) {
-      row.coeffs[static_cast<std::size_t>(e)] = static_cast<double>(t.demand);
-    }
-    row.coeffs[m + j] = 1.0;
-    row.relation = LpRelation::kGreaterEqual;
-    row.rhs = static_cast<double>(t.weight);
-    dual.constraints.push_back(std::move(row));
-  }
-
-  const LpSolution lp = solve_lp(dual, 0, options.deadline);
-  // sapkit-lint: end-allow(float-ban)
-  if (lp.status == LpStatus::kTimeout) {
-    *timed_out = true;
-    return false;
-  }
-  if (lp.status != LpStatus::kOptimal) return false;
-
-  DualWitness witness;
-  witness.scale = options.dual_scale;
-  witness.edge_price.resize(m);
-  for (std::size_t e = 0; e < m; ++e) {
-    if (!repair_price(lp.x[e], witness.scale, &witness.edge_price[e])) {
-      return false;
-    }
-  }
-
-  std::vector<Int128> task_price(n, 0);
-  std::vector<Value> demands(n);
-  std::vector<Weight> weights(n);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (gate.expired()) {
-      *timed_out = true;
-      return false;
-    }
-    const Task& t = inst.task(static_cast<TaskId>(j));
-    Int128 sum = 0;
-    for (EdgeId e = t.first; e <= t.last; ++e) {
-      sum += witness.edge_price[static_cast<std::size_t>(e)];
-    }
-    task_price[j] = sum;
-    demands[j] = t.demand;
-    weights[j] = t.weight;
-  }
-
-  Weight ub = 0;
-  if (!evaluate_dual_bound(inst.capacities(), witness.edge_price, task_price,
-                           demands, weights, witness.scale, &ub)) {
-    return false;
-  }
-  out->rung = UbRung::kLpDual;
-  out->value = ub;
-  out->dual = std::move(witness);
-  return true;
-}
-
-/// The ring analogue: one dual row per (task, direction); the exact slack
-/// uses the cheaper direction, matching the verifier in check.cpp.
-bool try_ring_lp_dual(const RingInstance& inst, const LadderOptions& options,
-                      UpperBoundCertificate* out, bool* timed_out) {
-  const std::size_t m = inst.num_edges();
-  const std::size_t n = inst.num_tasks();
-  if (n == 0 || options.dual_scale <= 0) return false;
-  DeadlineGate gate(options.deadline);
-
-  // sapkit-lint: begin-allow(float-ban) -- LP-dual-repair region: the dual
-  // LP is posed in doubles for the simplex, but its solution is only ever a
-  // hint; the emitted bound comes from the exact Int128 re-evaluation below.
-  LpProblem dual;
-  dual.objective.assign(m + n, 0.0);
-  for (std::size_t e = 0; e < m; ++e) {
-    dual.objective[e] = -static_cast<double>(inst.capacity(
-        static_cast<EdgeId>(e)));
-  }
-  for (std::size_t j = 0; j < n; ++j) dual.objective[m + j] = -1.0;
-  dual.constraints.reserve(2 * n);
-  for (std::size_t j = 0; j < n; ++j) {
-    if (gate.expired()) {
-      *timed_out = true;
-      return false;
-    }
-    const RingTask& t = inst.task(static_cast<TaskId>(j));
-    for (bool clockwise : {true, false}) {
+    const auto& t = inst.task(static_cast<TaskId>(j));
+    for (const std::vector<EdgeId>& route :
+         task_routes(inst, static_cast<TaskId>(j))) {
       LpConstraint row;
       row.coeffs.assign(m + n, 0.0);
-      for (EdgeId e : inst.route_edges(static_cast<TaskId>(j), clockwise)) {
+      for (EdgeId e : route) {
         row.coeffs[static_cast<std::size_t>(e)] =
             static_cast<double>(t.demand);
       }
@@ -229,7 +158,7 @@ bool try_ring_lp_dual(const RingInstance& inst, const LadderOptions& options,
     }
   }
 
-  const LpSolution lp = solve_lp(dual, 0, options.deadline);
+  const LpSolution lp = solve_lp(dual, 0, deadline);
   // sapkit-lint: end-allow(float-ban)
   if (lp.status == LpStatus::kTimeout) {
     *timed_out = true;
@@ -238,7 +167,7 @@ bool try_ring_lp_dual(const RingInstance& inst, const LadderOptions& options,
   if (lp.status != LpStatus::kOptimal) return false;
 
   DualWitness witness;
-  witness.scale = options.dual_scale;
+  witness.scale = kDualScale;
   witness.edge_price.resize(m);
   for (std::size_t e = 0; e < m; ++e) {
     if (!repair_price(lp.x[e], witness.scale, &witness.edge_price[e])) {
@@ -254,16 +183,17 @@ bool try_ring_lp_dual(const RingInstance& inst, const LadderOptions& options,
       *timed_out = true;
       return false;
     }
-    const RingTask& t = inst.task(static_cast<TaskId>(j));
-    Int128 cheapest = 0;
-    for (bool clockwise : {true, false}) {
+    const auto& t = inst.task(static_cast<TaskId>(j));
+    bool first = true;
+    for (const std::vector<EdgeId>& route :
+         task_routes(inst, static_cast<TaskId>(j))) {
       Int128 sum = 0;
-      for (EdgeId e : inst.route_edges(static_cast<TaskId>(j), clockwise)) {
+      for (EdgeId e : route) {
         sum += witness.edge_price[static_cast<std::size_t>(e)];
       }
-      if (clockwise || sum < cheapest) cheapest = sum;
+      if (first || sum < task_price[j]) task_price[j] = sum;
+      first = false;
     }
-    task_price[j] = cheapest;
     demands[j] = t.demand;
     weights[j] = t.weight;
   }
@@ -279,167 +209,114 @@ bool try_ring_lp_dual(const RingInstance& inst, const LadderOptions& options,
   return true;
 }
 
-/// Selects `candidate` as the ladder's answer and stamps telemetry.
-void select(LadderResult* result, UpperBoundCertificate candidate) {
+/// Records `attempt` and, when it proved `bound`, selects that bound as the
+/// ladder's answer and stamps telemetry. Returns whether it was selected.
+bool settle(LadderResult* result, const LadderRungAttempt& attempt,
+            UpperBoundCertificate bound) {
+  result->attempts.push_back(attempt);
+  if (!attempt.proved) return false;
   result->proven = true;
-  result->best = std::move(candidate);
-  telemetry::count(rung_counter_name(result->best.rung));
+  result->best = std::move(bound);
+  telemetry::count(std::string("cert.ladder.") +
+                   ub_rung_name(result->best.rung));
+  return true;
 }
 
-UpperBoundCertificate plain_bound(UbRung rung, Weight value) {
+UpperBoundCertificate plain_bound(const LadderRungAttempt& attempt) {
   UpperBoundCertificate bound;
-  bound.rung = rung;
-  bound.value = value;
+  bound.rung = attempt.rung;
+  bound.value = attempt.value;
   return bound;
+}
+
+/// Runs one exact-oracle rung: `solve()` returns a result whose
+/// proven_optimal, timed_out and weight decide the attempt.
+template <typename Solve>
+LadderRungAttempt oracle_attempt(UbRung rung, bool applicable, Solve solve) {
+  LadderRungAttempt attempt{.rung = rung, .applicable = applicable};
+  if (!applicable) return attempt;
+  const auto start = Clock::now();
+  const auto oracle = solve();
+  attempt.seconds = seconds_since(start);
+  attempt.timed_out = oracle.timed_out;
+  if (oracle.proven_optimal) {
+    attempt.proved = true;
+    attempt.value = oracle.weight;
+  }
+  return attempt;
+}
+
+/// The one ladder body. The exact rungs are SAP and UFPP oracles on a path,
+/// so a ring starts at lp_dual.
+template <typename Instance>
+LadderResult run_ladder(const Instance& inst, const LadderOptions& options) {
+  LadderResult result;
+  Weight sum_w = 0;
+  const bool sum_ok = checked_total_weight(inst, &sum_w);
+
+  if constexpr (std::is_same_v<Instance, PathInstance>) {
+    // Rung 1: exact SAP optimum by profile DP.
+    const LadderRungAttempt dp = oracle_attempt(
+        UbRung::kExactDp,
+        options.try_exact_dp &&
+            inst.num_tasks() <= options.exact_dp_max_tasks &&
+            (inst.num_edges() == 0 ||
+             inst.max_capacity() <= options.exact_dp_max_capacity),
+        [&] {
+          return sap_exact_profile_dp(
+              inst, {.max_states = kExactDpMaxStates,
+                     .deadline = options.deadline});
+        });
+    if (settle(&result, dp, plain_bound(dp))) return result;
+
+    // Rung 2: exact UFPP optimum (>= OPT_SAP).
+    const LadderRungAttempt bnb = oracle_attempt(
+        UbRung::kUfppBnb,
+        options.try_ufpp_bnb && inst.num_tasks() <= options.bnb_max_tasks,
+        [&] {
+          return ufpp_exact(inst, {.max_nodes = kUfppBnbMaxNodes,
+                                   .deadline = options.deadline});
+        });
+    if (settle(&result, bnb, plain_bound(bnb))) return result;
+  }
+
+  // Rung 3: rational-repaired LP dual. Skipped in favour of the fallback if
+  // the repaired bound is looser than sum w.
+  LadderRungAttempt lp{.rung = UbRung::kLpDual,
+                       .applicable = options.try_lp_dual};
+  UpperBoundCertificate candidate;
+  if (lp.applicable) {
+    const auto start = Clock::now();
+    lp.proved =
+        try_lp_dual(inst, options.deadline, &candidate, &lp.timed_out);
+    lp.seconds = seconds_since(start);
+    if (lp.proved) lp.value = candidate.value;
+  }
+  if (lp.proved && sum_ok && candidate.value > sum_w) {
+    result.attempts.push_back(lp);
+  } else if (settle(&result, lp, std::move(candidate))) {
+    return result;
+  }
+
+  // Rung 4: the unconditional fallback, unless sum w itself overflows.
+  const LadderRungAttempt fallback{.rung = UbRung::kTotalWeight,
+                                   .applicable = true,
+                                   .proved = sum_ok,
+                                   .value = sum_w};
+  settle(&result, fallback, plain_bound(fallback));
+  return result;
 }
 
 }  // namespace
 
 LadderResult run_upper_bound_ladder(const PathInstance& inst,
                                     const LadderOptions& options) {
-  LadderResult result;
-
-  Weight sum_w = 0;
-  std::vector<Weight> weights(inst.num_tasks());
-  for (std::size_t j = 0; j < weights.size(); ++j) {
-    weights[j] = inst.task(static_cast<TaskId>(j)).weight;
-  }
-  const bool sum_ok = checked_total_weight(weights, &sum_w);
-
-  // Rung 1: exact SAP optimum by profile DP.
-  {
-    LadderRungAttempt attempt{.rung = UbRung::kExactDp};
-    const bool applicable =
-        options.try_exact_dp && inst.num_tasks() <= options.exact_dp_max_tasks &&
-        (inst.num_edges() == 0 ||
-         inst.max_capacity() <= options.exact_dp_max_capacity);
-    if (applicable) {
-      attempt.applicable = true;
-      SapExactOptions dp_options = options.dp;
-      dp_options.deadline = dp_options.deadline.min(options.deadline);
-      const auto start = Clock::now();
-      const SapExactResult dp = sap_exact_profile_dp(inst, dp_options);
-      attempt.seconds = seconds_since(start);
-      attempt.timed_out = dp.timed_out;
-      if (dp.proven_optimal) {
-        attempt.proved = true;
-        attempt.value = dp.weight;
-      }
-    }
-    result.attempts.push_back(attempt);
-    if (attempt.proved) {
-      select(&result, plain_bound(UbRung::kExactDp, attempt.value));
-      return result;
-    }
-  }
-
-  // Rung 2: exact UFPP optimum (>= OPT_SAP).
-  {
-    LadderRungAttempt attempt{.rung = UbRung::kUfppBnb};
-    if (options.try_ufpp_bnb && inst.num_tasks() <= options.bnb_max_tasks) {
-      attempt.applicable = true;
-      UfppExactOptions bnb_options = options.bnb;
-      bnb_options.deadline = bnb_options.deadline.min(options.deadline);
-      const auto start = Clock::now();
-      const UfppExactResult bnb = ufpp_exact(inst, bnb_options);
-      attempt.seconds = seconds_since(start);
-      attempt.timed_out = bnb.timed_out;
-      if (bnb.proven_optimal) {
-        attempt.proved = true;
-        attempt.value = bnb.weight;
-      }
-    }
-    result.attempts.push_back(attempt);
-    if (attempt.proved) {
-      select(&result, plain_bound(UbRung::kUfppBnb, attempt.value));
-      return result;
-    }
-  }
-
-  // Rung 3: rational-repaired LP dual. Skipped in favour of the fallback if
-  // the repaired bound is looser than sum w.
-  {
-    LadderRungAttempt attempt{.rung = UbRung::kLpDual};
-    UpperBoundCertificate candidate;
-    if (options.try_lp_dual) {
-      attempt.applicable = true;
-      const auto start = Clock::now();
-      const bool ok =
-          try_path_lp_dual(inst, options, &candidate, &attempt.timed_out);
-      attempt.seconds = seconds_since(start);
-      if (ok) {
-        attempt.proved = true;
-        attempt.value = candidate.value;
-      }
-    }
-    result.attempts.push_back(attempt);
-    if (attempt.proved && !(sum_ok && candidate.value > sum_w)) {
-      select(&result, std::move(candidate));
-      return result;
-    }
-  }
-
-  // Rung 4: the unconditional fallback, unless sum w itself overflows.
-  {
-    LadderRungAttempt attempt{.rung = UbRung::kTotalWeight,
-                              .applicable = true};
-    if (sum_ok) {
-      attempt.proved = true;
-      attempt.value = sum_w;
-    }
-    result.attempts.push_back(attempt);
-    if (attempt.proved) {
-      select(&result, plain_bound(UbRung::kTotalWeight, sum_w));
-    }
-  }
-  return result;
+  return run_ladder(inst, options);
 }
 
-LadderResult run_ring_upper_bound_ladder(const RingInstance& inst,
-                                         const LadderOptions& options) {
-  LadderResult result;
-
-  Weight sum_w = 0;
-  std::vector<Weight> weights(inst.num_tasks());
-  for (std::size_t j = 0; j < weights.size(); ++j) {
-    weights[j] = inst.task(static_cast<TaskId>(j)).weight;
-  }
-  const bool sum_ok = checked_total_weight(weights, &sum_w);
-
-  {
-    LadderRungAttempt attempt{.rung = UbRung::kLpDual};
-    UpperBoundCertificate candidate;
-    if (options.try_lp_dual) {
-      attempt.applicable = true;
-      const auto start = Clock::now();
-      const bool ok =
-          try_ring_lp_dual(inst, options, &candidate, &attempt.timed_out);
-      attempt.seconds = seconds_since(start);
-      if (ok) {
-        attempt.proved = true;
-        attempt.value = candidate.value;
-      }
-    }
-    result.attempts.push_back(attempt);
-    if (attempt.proved && !(sum_ok && candidate.value > sum_w)) {
-      select(&result, std::move(candidate));
-      return result;
-    }
-  }
-
-  {
-    LadderRungAttempt attempt{.rung = UbRung::kTotalWeight,
-                              .applicable = true};
-    if (sum_ok) {
-      attempt.proved = true;
-      attempt.value = sum_w;
-    }
-    result.attempts.push_back(attempt);
-    if (attempt.proved) {
-      select(&result, plain_bound(UbRung::kTotalWeight, sum_w));
-    }
-  }
-  return result;
+LadderResult run_upper_bound_ladder(const RingInstance& inst,
+                                    const LadderOptions& options) {
+  return run_ladder(inst, options);
 }
 
 }  // namespace sap::cert

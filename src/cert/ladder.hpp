@@ -2,14 +2,16 @@
 //
 // Rungs, tightest first (OPT_SAP <= OPT_UFPP <= LP <= sum w justifies
 // stopping at the first rung that proves a bound):
-//   1. exact_dp      — exact SAP optimum via the profile DP (tiny instances);
-//   2. ufpp_bnb      — exact UFPP optimum via branch-and-bound;
+//   1. exact_dp      — exact SAP optimum via the profile DP (tiny path
+//                      instances);
+//   2. ufpp_bnb      — exact UFPP optimum via branch-and-bound (paths);
 //   3. lp_dual       — the UFPP LP relaxation, certified by an exact
 //                      rational re-check of dual feasibility: the simplex
 //                      *suggests* prices, the ladder rounds them to a scaled
 //                      integral vector y >= 0, recomputes each task's slack
-//                      z_j = max(0, w_j*S - d_j * sum_{e in I_j} y_e)
-//                      exactly in 128-bit arithmetic, and takes
+//                      z_j = max(0, w_j*S - d_j * min_R sum_{e in R} y_e)
+//                      over the task's routes R (one on a path, two on a
+//                      ring) exactly in 128-bit arithmetic, and takes
 //                      UB = floor((sum c_e y_e + sum z_j) / S). By weak LP
 //                      duality ANY such (y, z) is dual-feasible, so double
 //                      round-off can make the bound looser but never invalid,
@@ -25,35 +27,30 @@
 #include <vector>
 
 #include "src/cert/certificate.hpp"
-#include "src/exact/profile_dp.hpp"
 #include "src/model/path_instance.hpp"
 #include "src/model/ring_instance.hpp"
-#include "src/ufpp/branch_and_bound.hpp"
 #include "src/util/deadline.hpp"
 
 namespace sap::cert {
 
 struct LadderOptions {
-  /// Rung 1: exact SAP profile DP. Applicable when the instance is within
-  /// both caps; used only when the DP proves optimality within its beam.
+  /// Rung 1 (paths only): exact SAP profile DP. Applicable when the
+  /// instance is within both caps; used only when the DP proves optimality
+  /// within its beam.
   bool try_exact_dp = true;
   std::size_t exact_dp_max_tasks = 24;
   Value exact_dp_max_capacity = 48;
-  SapExactOptions dp{.max_states = 100'000};
 
-  /// Rung 2: exact UFPP branch-and-bound. Applicable when num_tasks is
-  /// within the cap; used only when the search proves optimality within its
-  /// node budget.
+  /// Rung 2 (paths only): exact UFPP branch-and-bound. Applicable when
+  /// num_tasks is within the cap; used only when the search proves
+  /// optimality within its node budget.
   bool try_ufpp_bnb = true;
   std::size_t bnb_max_tasks = 18;
-  UfppExactOptions bnb{.max_nodes = 2'000'000};
 
   /// Rung 3: rational-repaired LP dual. Always applicable on non-empty
   /// instances; fails only if the simplex does not reach optimality or the
   /// repaired bound overflows / is looser than sum w.
   bool try_lp_dual = true;
-  /// Fixed-point denominator for the repaired dual prices.
-  std::int64_t dual_scale = std::int64_t{1} << 20;
 
   /// Cooperative cancellation for the whole ladder: an expensive rung whose
   /// slice runs out is recorded as `timed_out` and the ladder falls through
@@ -82,15 +79,13 @@ struct LadderResult {
   std::vector<LadderRungAttempt> attempts;
 };
 
-/// Runs the ladder on a path instance, returning the first rung that proves
-/// a bound (tightest first).
+/// Runs the ladder, returning the first rung that proves a bound (tightest
+/// first). On a path every rung applies; on a ring only lp_dual (one dual
+/// row per route direction, the slack priced on the cheaper route) and the
+/// total_weight fallback do.
 [[nodiscard]] LadderResult run_upper_bound_ladder(
     const PathInstance& inst, const LadderOptions& options = {});
-
-/// Ring ladder: only the lp_dual rung (per-(task, direction) dual rows; the
-/// slack uses the cheaper of the two route directions) and the total_weight
-/// fallback apply.
-[[nodiscard]] LadderResult run_ring_upper_bound_ladder(
+[[nodiscard]] LadderResult run_upper_bound_ladder(
     const RingInstance& inst, const LadderOptions& options = {});
 
 }  // namespace sap::cert

@@ -59,6 +59,42 @@ double certified_ratio(const cert::Certificate& cert) {
   return std::numeric_limits<double>::infinity();
 }
 
+/// Bounds a solved, feasible case (its algo_weight already set) with one
+/// ladder run. With `certify` the run produces a certificate whose bound
+/// doubles as the ratio bound, and the certificate goes through the
+/// independent check_certificate verifier.
+template <typename Instance, typename Solution>
+void bound_case(const Instance& inst, const Solution& sol, bool certify,
+                const cert::LadderOptions& ladder,
+                const cert::CheckOptions& check, BatchCase* out) {
+  if (!certify) {
+    ScopedTimer timer("batch.bound");
+    const RatioMeasurement m = measure_ratio(inst, sol, ladder);
+    out->bound = m.bound;
+    out->bound_exact = m.bound_exact;
+    out->ratio = m.ratio;
+    return;
+  }
+  cert::CertifyOutcome outcome;
+  {
+    ScopedTimer timer("batch.certify");
+    outcome = cert::certify_solution(inst, sol, {ladder});
+  }
+  if (!outcome.certified) {
+    out->ratio = std::numeric_limits<double>::quiet_NaN();
+    return;
+  }
+  out->certified = true;
+  out->cert_rung = outcome.cert.ub.rung;
+  out->cert_ratio = certified_ratio(outcome.cert);
+  out->bound = static_cast<double>(outcome.cert.ub.value);
+  out->bound_exact = outcome.cert.ub.rung == cert::UbRung::kExactDp;
+  out->ratio = out->cert_ratio;
+  ScopedTimer timer("batch.check_cert");
+  out->cert_checked = static_cast<bool>(
+      cert::check_certificate(inst, sol, outcome.cert, check));
+}
+
 }  // namespace
 
 void BatchResumeStore::attach(BatchOptions& options) {
@@ -264,37 +300,8 @@ BatchCaseFn make_path_batch_case(const PathBatchConfig& config) {
     }
     if (!verify_sap(inst, sol)) return out;
     out.feasible = true;
-    if (config.certify) {
-      // One ladder run: the certificate's bound doubles as the ratio bound.
-      cert::CertifyOptions copts;
-      copts.ladder = config.bound.ladder();
-      cert::CertifyOutcome outcome;
-      {
-        ScopedTimer timer("batch.certify");
-        outcome = cert::certify_solution(inst, sol, copts);
-      }
-      out.algo_weight = sol.weight(inst);
-      if (outcome.certified) {
-        out.certified = true;
-        out.cert_rung = outcome.cert.ub.rung;
-        out.cert_ratio = certified_ratio(outcome.cert);
-        out.bound = static_cast<double>(outcome.cert.ub.value);
-        out.bound_exact = outcome.cert.ub.rung == cert::UbRung::kExactDp;
-        out.ratio = out.cert_ratio;
-        ScopedTimer timer("batch.check_cert");
-        out.cert_checked = static_cast<bool>(
-            cert::check_certificate(inst, sol, outcome.cert, config.check));
-      } else {
-        out.ratio = std::numeric_limits<double>::quiet_NaN();
-      }
-      return out;
-    }
-    ScopedTimer timer("batch.bound");
-    const RatioMeasurement m = measure_ratio(inst, sol, config.bound);
-    out.algo_weight = m.algo_weight;
-    out.bound = m.bound;
-    out.bound_exact = m.bound_exact;
-    out.ratio = m.ratio;
+    out.algo_weight = sol.weight(inst);
+    bound_case(inst, sol, config.certify, config.bound, config.check, &out);
     return out;
   };
 }
@@ -337,36 +344,9 @@ BatchCaseFn make_ring_batch_case(const RingBatchConfig& config) {
     }
     if (!verify_ring_sap(ring, sol)) return out;
     out.feasible = true;
-    if (config.certify) {
-      cert::CertifyOutcome outcome;
-      {
-        ScopedTimer timer("batch.certify");
-        outcome = cert::certify_solution(ring, sol);
-      }
-      out.algo_weight = ring.solution_weight(sol);
-      if (outcome.certified) {
-        out.certified = true;
-        out.cert_rung = outcome.cert.ub.rung;
-        out.cert_ratio = certified_ratio(outcome.cert);
-        out.bound = static_cast<double>(outcome.cert.ub.value);
-        out.ratio = out.cert_ratio;
-        ScopedTimer timer("batch.check_cert");
-        out.cert_checked = static_cast<bool>(
-            cert::check_certificate(ring, sol, outcome.cert, config.check));
-      } else {
-        out.ratio = std::numeric_limits<double>::quiet_NaN();
-      }
-    } else if (config.compute_bound) {
-      ScopedTimer timer("batch.bound");
-      const RatioMeasurement m = measure_ring_ratio(ring, sol);
-      out.algo_weight = m.algo_weight;
-      out.bound = m.bound;
-      out.bound_exact = m.bound_exact;
-      out.ratio = m.ratio;
-    } else {
-      out.algo_weight = ring.solution_weight(sol);
-      out.ratio = std::numeric_limits<double>::quiet_NaN();
-    }
+    out.algo_weight = ring.solution_weight(sol);
+    bound_case(ring, sol, config.certify, measurement_ladder(), config.check,
+               &out);
     return out;
   };
 }

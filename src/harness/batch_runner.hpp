@@ -157,19 +157,18 @@ void write_batch_json(std::ostream& os, const BatchReport& report,
 struct PathBatchConfig {
   PathGenOptions gen;
   SolverParams solver;
-  OptBoundOptions bound;
+  cert::LadderOptions bound = measurement_ladder();
   bool certify = false;
   cert::CheckOptions check;
 };
 [[nodiscard]] BatchCaseFn make_path_batch_case(const PathBatchConfig& config);
 
 /// Standard ring sweep: generate_ring_instance -> solve_ring_sap ->
-/// verify_ring_sap -> measure_ring_ratio (two-route LP bound). `certify` as
-/// for path sweeps.
+/// verify_ring_sap -> measure_ratio (two-route LP bound). `certify` as for
+/// path sweeps.
 struct RingBatchConfig {
   RingGenOptions gen;
   RingSolverParams solver;
-  bool compute_bound = true;  ///< false: skip the LP, report weights only
   bool certify = false;
   cert::CheckOptions check;
 };

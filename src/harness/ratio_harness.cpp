@@ -5,70 +5,46 @@
 namespace sap {
 namespace {
 
-double ratio_of(Weight algo_weight, double bound) {
-  if (algo_weight > 0) return bound / static_cast<double>(algo_weight);
-  if (bound <= 1e-9) return 1.0;
-  return std::numeric_limits<double>::infinity();
+RatioMeasurement measure(Weight algo_weight,
+                         const cert::LadderResult& ladder) {
+  RatioMeasurement out;
+  out.algo_weight = algo_weight;
+  if (ladder.proven) {
+    out.bound = static_cast<double>(ladder.best.value);
+    out.bound_rung = ladder.best.rung;
+    out.bound_exact = ladder.best.rung == cert::UbRung::kExactDp;
+  } else {
+    // Every rung failed (sum w overflows int64): report the only honest
+    // upper bound a double can express.
+    out.bound = std::numeric_limits<double>::infinity();
+  }
+  if (algo_weight > 0) {
+    out.ratio = out.bound / static_cast<double>(algo_weight);
+  } else if (out.bound > 1e-9) {
+    out.ratio = std::numeric_limits<double>::infinity();
+  }
+  return out;
 }
 
 }  // namespace
 
-cert::LadderOptions OptBoundOptions::ladder() const {
-  cert::LadderOptions out;
-  out.try_exact_dp = try_exact;
-  out.exact_dp_max_tasks = exact_max_tasks;
-  out.exact_dp_max_capacity = exact_max_capacity;
-  out.dp = dp;
-  out.try_ufpp_bnb = try_bnb;
-  out.bnb_max_tasks = bnb_max_tasks;
-  out.bnb = bnb;
-  return out;
-}
-
-OptBound sap_opt_bound(const PathInstance& inst,
-                       const OptBoundOptions& options) {
-  const cert::LadderResult ladder =
-      cert::run_upper_bound_ladder(inst, options.ladder());
-  OptBound out;
-  if (!ladder.proven) {
-    // Every rung failed (sum w overflows int64): report the only honest
-    // upper bound a double can express.
-    out.value = std::numeric_limits<double>::infinity();
-    return out;
-  }
-  out.value = static_cast<double>(ladder.best.value);
-  out.rung = ladder.best.rung;
-  out.exact = ladder.best.rung == cert::UbRung::kExactDp;
-  return out;
+cert::LadderOptions measurement_ladder() {
+  cert::LadderOptions options;
+  options.try_ufpp_bnb = false;
+  return options;
 }
 
 RatioMeasurement measure_ratio(const PathInstance& inst,
                                const SapSolution& sol,
-                               const OptBoundOptions& options) {
-  RatioMeasurement out;
-  out.algo_weight = sol.weight(inst);
-  const OptBound bound = sap_opt_bound(inst, options);
-  out.bound = bound.value;
-  out.bound_exact = bound.exact;
-  out.bound_rung = bound.rung;
-  out.ratio = ratio_of(out.algo_weight, out.bound);
-  return out;
+                               const cert::LadderOptions& options) {
+  return measure(sol.weight(inst), cert::run_upper_bound_ladder(inst, options));
 }
 
-RatioMeasurement measure_ring_ratio(const RingInstance& inst,
-                                    const RingSapSolution& sol) {
-  RatioMeasurement out;
-  out.algo_weight = inst.solution_weight(sol);
-  const cert::LadderResult ladder = cert::run_ring_upper_bound_ladder(inst);
-  if (ladder.proven) {
-    out.bound = static_cast<double>(ladder.best.value);
-    out.bound_rung = ladder.best.rung;
-  } else {
-    out.bound = std::numeric_limits<double>::infinity();
-  }
-  out.bound_exact = false;
-  out.ratio = ratio_of(out.algo_weight, out.bound);
-  return out;
+RatioMeasurement measure_ratio(const RingInstance& inst,
+                               const RingSapSolution& sol,
+                               const cert::LadderOptions& options) {
+  return measure(inst.solution_weight(sol),
+                 cert::run_upper_bound_ladder(inst, options));
 }
 
 }  // namespace sap

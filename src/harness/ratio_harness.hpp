@@ -1,69 +1,40 @@
 // Approximation-ratio measurement: bound OPT_SAP from above via the
-// certification subsystem's UpperBoundLadder (src/cert/ladder.hpp) and
+// certification subsystem's upper-bound ladder (src/cert/ladder.hpp) and
 // compare an algorithm's solution weight against it. The ladder owns the
 // bound-selection policy (exact oracle when tractable, certified LP dual
-// otherwise); this harness only adapts its budgets and forms ratios.
+// otherwise); this harness only picks its rungs and forms ratios.
 #pragma once
 
 #include "src/cert/ladder.hpp"
-#include "src/exact/profile_dp.hpp"
 #include "src/model/path_instance.hpp"
 #include "src/model/ring_instance.hpp"
 #include "src/model/solution.hpp"
 
 namespace sap {
 
-/// An upper bound on OPT_SAP for one instance.
-struct OptBound {
-  double value = 0.0;
-  bool exact = false;  ///< true when value == OPT_SAP (oracle proved it)
-  /// Which ladder rung produced the bound.
-  cert::UbRung rung = cert::UbRung::kTotalWeight;
-};
-
-struct OptBoundOptions {
-  bool try_exact = true;
-  /// Oracle budget: fall back to the next rung if the DP truncates.
-  SapExactOptions dp{.max_states = 100'000};
-  /// Skip the oracle entirely above these sizes (the DP is pseudo-
-  /// polynomial; tall/crowded instances go straight to the LP bound).
-  std::size_t exact_max_tasks = 24;
-  Value exact_max_capacity = 48;
-  /// Optionally try the exact UFPP branch-and-bound rung between the oracle
-  /// and the LP bound. Off by default: measurement loops favour throughput.
-  bool try_bnb = false;
-  std::size_t bnb_max_tasks = 18;
-  UfppExactOptions bnb{.max_nodes = 2'000'000};
-
-  /// The ladder configuration these options denote.
-  [[nodiscard]] cert::LadderOptions ladder() const;
-};
-
-/// Upper-bounds OPT_SAP with the first ladder rung that proves a bound:
-/// exact profile DP when within budget, else (optionally) exact UFPP, else
-/// the rational-repaired dual of the UFPP LP relaxation
-/// (OPT_SAP <= OPT_UFPP <= LP), else the trivial sum of weights.
-[[nodiscard]] OptBound sap_opt_bound(const PathInstance& inst,
-                                     const OptBoundOptions& options = {});
+/// The measurement ladder: the certification ladder without the ufpp_bnb
+/// rung, since measurement loops favour throughput.
+[[nodiscard]] cert::LadderOptions measurement_ladder();
 
 struct RatioMeasurement {
   Weight algo_weight = 0;
   double bound = 0.0;
-  bool bound_exact = false;
+  bool bound_exact = false;  ///< bound == OPT_SAP (the exact_dp rung fired)
   cert::UbRung bound_rung = cert::UbRung::kTotalWeight;
   /// bound / algo_weight; 1.0 when both are zero; +inf when only the
   /// algorithm is zero.
   double ratio = 1.0;
 };
 
+/// Measures `sol` against the first ladder rung that proves a bound. Ring
+/// ladders start at the certified dual of the two-route ring LP relaxation,
+/// so measured ring ratios include the LP integrality gap on top of the
+/// algorithm's loss.
 [[nodiscard]] RatioMeasurement measure_ratio(
     const PathInstance& inst, const SapSolution& sol,
-    const OptBoundOptions& options = {});
-
-/// Ring ratios use the ring ladder (certified dual of the two-route ring
-/// LP relaxation, with the trivial fallback), so measured ring ratios
-/// include the LP integrality gap on top of the algorithm's loss.
-[[nodiscard]] RatioMeasurement measure_ring_ratio(const RingInstance& inst,
-                                                  const RingSapSolution& sol);
+    const cert::LadderOptions& options = measurement_ladder());
+[[nodiscard]] RatioMeasurement measure_ratio(
+    const RingInstance& inst, const RingSapSolution& sol,
+    const cert::LadderOptions& options = measurement_ladder());
 
 }  // namespace sap

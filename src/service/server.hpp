@@ -38,8 +38,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/cert/certify.hpp"
-#include "src/exact/profile_dp.hpp"
 #include "src/io/canonical.hpp"
 #include "src/io/instance_io.hpp"
 #include "src/service/cache_store.hpp"
@@ -96,11 +94,6 @@ struct ServerOptions {
   ReadLimits read_limits{.max_edges = 1'000'000,
                          .max_tasks = 1'000'000,
                          .max_placements = 1'000'000};
-  /// Ladder/certification knobs applied when a request opts into a
-  /// certificate ("certify 1"). Defaults keep per-request cert cost bounded.
-  cert::CertifyOptions certify;
-  /// Oracle knobs for `algo exact` requests (the exponential profile DP).
-  SapExactOptions exact{.max_states = 5'000'000};
   /// Server-side default solve budget applied when a request carries no
   /// `deadline_ms` line. 0 = unlimited (the pre-deadline behaviour).
   std::int64_t default_deadline_ms = 0;

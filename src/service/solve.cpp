@@ -57,9 +57,8 @@ SapSolution path_full(const PathInstance& inst, const Call& call) {
 }
 
 SapSolution path_exact(const PathInstance& inst, const Call& call) {
-  SapExactOptions exact = call.options.exact;
-  exact.deadline = exact.deadline.min(call.deadline);
-  const SapExactResult oracle = sap_exact_profile_dp(inst, exact);
+  const SapExactResult oracle = sap_exact_profile_dp(
+      inst, {.max_states = kExactMaxStates, .deadline = call.deadline});
   if (oracle.timed_out) throw DeadlineExceeded("exact oracle");
   return oracle.solution;
 }
@@ -188,15 +187,13 @@ void describe(const PathInstance& inst,
   write_round_assignment(os, assignment);
 }
 
-/// Rungs share the request deadline: one that times out is noted as
-/// skipped and the ladder falls through to a cheaper bound.
+/// The default ladder under the request deadline: a rung that times out is
+/// noted as skipped and the ladder falls through to a cheaper bound.
 template <typename Inst, typename Sol>
 void certify(const Inst& inst, const Sol& sol, const Call& call,
              SolveResponse* response) {
-  cert::CertifyOptions certify = call.options.certify;
-  certify.ladder.deadline = certify.ladder.deadline.min(call.deadline);
-  const cert::CertifyOutcome outcome =
-      cert::certify_solution(inst, sol, certify);
+  const cert::CertifyOutcome outcome = cert::certify_solution(
+      inst, sol, {.ladder = {.deadline = call.deadline}});
   for (const cert::LadderRungAttempt& attempt : outcome.ladder.attempts) {
     if (attempt.timed_out) {
       note_skipped(response,

@@ -38,14 +38,6 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::submit(std::function<void()> task) {
-  {
-    std::lock_guard lock(mutex_);
-    tasks_.push(std::move(task));
-  }
-  work_ready_.notify_one();
-}
-
 void ThreadPool::parallel_for(std::size_t count,
                               const std::function<void(std::size_t)>& body) {
   if (count == 0) return;

@@ -1,7 +1,6 @@
-// Minimal fixed-size thread pool with two entry points: a fork/join
-// `parallel_for` used by the benchmark harness for parameter sweeps, and a
-// fire-and-forget `submit` used by the sapd service to fan requests out to
-// solver workers. Both share the same worker threads and FIFO task queue.
+// Minimal fixed-size thread pool with one entry point: a fork/join
+// `parallel_for` used by the batch harness and the benchmarks for parameter
+// sweeps. (sapd runs its solver workers on ShardPool, src/service/shard.hpp.)
 #pragma once
 
 #include <condition_variable>
@@ -33,12 +32,6 @@ class ThreadPool {
   /// iterations finish. The calling thread participates.
   void parallel_for(std::size_t count,
                     const std::function<void(std::size_t)>& body);
-
-  /// Enqueues one task for asynchronous execution and returns immediately.
-  /// The task must not throw (an escaping exception terminates the worker);
-  /// callers that need completion or error signalling build it into the
-  /// task. Destroying the pool runs every task already submitted.
-  void submit(std::function<void()> task);
 
  private:
   void worker_loop();

@@ -1,6 +1,7 @@
 // Tests for the parallel batch-solve harness: deterministic aggregate
-// reports across thread counts, per-instance seeding, exception propagation
-// from a poisoned instance, and the empty-sweep edge case.
+// reports across thread counts, per-instance seeding, certified sweeps,
+// exception propagation from a poisoned instance, and the empty-sweep edge
+// case.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -119,6 +120,47 @@ TEST(BatchRunnerTest, RingSweepSolvesEveryInstance) {
                 report.telemetry.count("ring.winner.cut"),
             6);
   EXPECT_GE(report.ratio.min(), 1.0);
+}
+
+/// A certified sweep certifies and independently checks every case, tallies
+/// each certificate under exactly one rung, and stays byte-identical across
+/// thread counts.
+void expect_certified_sweep(const BatchCaseFn& fn, std::size_t count) {
+  BatchOptions options;
+  options.num_instances = count;
+  options.base_seed = 42;
+  ThreadPool serial(1);
+  const BatchReport report = run_batch(options, fn, serial);
+  ASSERT_EQ(report.cases.size(), count);
+  for (std::size_t i = 0; i < count; ++i) {
+    EXPECT_TRUE(report.cases[i].certified) << "case " << i;
+    EXPECT_TRUE(report.cases[i].cert_checked) << "case " << i;
+  }
+  EXPECT_EQ(report.certified, count);
+  EXPECT_EQ(report.cert_checked, count);
+  std::size_t rung_total = 0;
+  for (const std::size_t n : report.cert_rungs) rung_total += n;
+  EXPECT_EQ(rung_total, count);
+
+  ThreadPool parallel(4);
+  EXPECT_EQ(deterministic_json(report),
+            deterministic_json(run_batch(options, fn, parallel)));
+}
+
+TEST(BatchRunnerTest, CertifiedPathSweepChecksEveryCertificate) {
+  PathBatchConfig config = tiny_path_config();
+  config.certify = true;
+  expect_certified_sweep(make_path_batch_case(config), 10);
+}
+
+TEST(BatchRunnerTest, CertifiedRingSweepChecksEveryCertificate) {
+  RingBatchConfig config;
+  config.gen.num_edges = 6;
+  config.gen.num_tasks = 8;
+  config.gen.min_capacity = 4;
+  config.gen.max_capacity = 12;
+  config.certify = true;
+  expect_certified_sweep(make_ring_batch_case(config), 10);
 }
 
 TEST(BatchRunnerTest, RoundSweepSolvesEveryInstanceOnBothKinds) {

@@ -125,7 +125,7 @@ TEST(LadderTest, RingLadderBoundsTheRingSolver) {
     const RingInstance ring = tiny_ring(seed);
     const RingSapSolution sol = solve_ring_sap(ring);
     ASSERT_TRUE(verify_ring_sap(ring, sol)) << "seed " << seed;
-    const cert::LadderResult ladder = cert::run_ring_upper_bound_ladder(ring);
+    const cert::LadderResult ladder = cert::run_upper_bound_ladder(ring);
     ASSERT_TRUE(ladder.proven) << "seed " << seed;
     EXPECT_GE(ladder.best.value, ring.solution_weight(sol)) << "seed " << seed;
   }

@@ -23,6 +23,7 @@
 #include "src/cert/check.hpp"
 #include "src/core/ring_solver.hpp"
 #include "src/core/sap_solver.hpp"
+#include "src/exact/profile_dp.hpp"
 #include "src/gen/generators.hpp"
 #include "src/io/instance_io.hpp"
 #include "src/model/verify.hpp"
@@ -33,6 +34,7 @@
 #include "src/service/client.hpp"
 #include "src/service/frame.hpp"
 #include "src/service/server.hpp"
+#include "src/service/solve.hpp"
 
 namespace sap::service {
 namespace {
@@ -202,7 +204,7 @@ TEST(ServiceTest, SolverSelectionMatchesInProcessBackends) {
   SolverParams params;
   params.eps = 0.5;
   params.seed = 7;
-  const SapExactOptions exact = ServerOptions{}.exact;  // the server's caps
+  const SapExactOptions exact{.max_states = kExactMaxStates};  // sapd's cap
   std::vector<TaskId> ids(inst.num_tasks());
   std::iota(ids.begin(), ids.end(), TaskId{0});
 
