@@ -27,9 +27,8 @@ int main() {
   }
   std::printf("\n\n");
 
-  RingSolverParams params;
   RingSolveReport report;
-  const RingSapSolution sol = solve_ring_sap(ring, params, &report);
+  const RingSapSolution sol = solve_ring_sap(ring, {}, &report);
   const VerifyResult ok = verify_ring_sap(ring, sol);
 
   std::printf("cut edge: %d (capacity %lld)\n", report.cut_edge,

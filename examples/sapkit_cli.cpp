@@ -6,11 +6,12 @@
 // Usage:
 //   sapkit_cli solve   [--algo full|exact|uniform|small|medium|large]
 //                      [--eps X] [--seed N] [--ring] [--kind K]
-//                      [--certify] [--cert-out FILE] [file]
+//                      [--certify] [--cert-out FILE] [--deadline-ms B]
+//                      [file]
 //   sapkit_cli exact   [file]            # profile-DP oracle
 //   sapkit_cli bound   [file]            # LP upper bound on OPT
 //   sapkit_cli round   [--kind round-ufp|round-sap] [--algo full|exact]
-//                      [file]            # min-round packing of all tasks
+//                      [--deadline-ms B] [file]  # min-round packing
 //   sapkit_cli gen     [--edges M] [--tasks N] [--seed S] [--nba | --ring]
 //   sapkit_cli batch   [--count N] [--seed S] [--threads T] [--edges M]
 //                      [--tasks N] [--profile P] [--demand D] [--eps X]
@@ -51,10 +52,12 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <type_traits>
 
 #include "src/cert/certify.hpp"
+#include "src/cert/check.hpp"
 #include "src/exact/profile_dp.hpp"
 #include "src/gen/generators.hpp"
 #include "src/harness/batch_runner.hpp"
@@ -82,8 +85,9 @@ void print_usage(std::ostream& os) {
         "solve|exact|bound|round|gen|batch|serve|request [options] [file]\n"
         "  solve   --algo full|exact|uniform|small|medium|large --eps X\n"
         "          --seed N [--ring] [--kind K] [--certify]\n"
-        "          [--cert-out FILE]\n"
-        "  round   [--kind round-ufp|round-sap] [--algo full|exact] [file]\n"
+        "          [--cert-out FILE] [--deadline-ms B]\n"
+        "  round   [--kind round-ufp|round-sap] [--algo full|exact]\n"
+        "          [--deadline-ms B] [file]\n"
         "  gen     --edges M --tasks N --seed S [--nba | --ring]\n"
         "  batch   --count N --seed S --threads T --edges M --tasks N\n"
         "          --profile uniform|valley|mountain|staircase|walk\n"
@@ -197,6 +201,16 @@ Options parse_options(int argc, char** argv) {
         throw UsageError("bad value '" + value + "' for " + arg);
       }
     };
+    // Milliseconds go to a signed budget: reject what int64 cannot hold
+    // instead of wrapping it negative (which would mean no deadline).
+    auto next_ms = [&]() -> std::int64_t {
+      const std::uint64_t ms = next_u64();
+      if (ms > static_cast<std::uint64_t>(
+                   std::numeric_limits<std::int64_t>::max())) {
+        throw UsageError("bad value '" + std::to_string(ms) + "' for " + arg);
+      }
+      return static_cast<std::int64_t>(ms);
+    };
     auto next_f64 = [&]() -> double {
       const std::string value = next();
       try {
@@ -250,9 +264,9 @@ Options parse_options(int argc, char** argv) {
       if (port > 65535) throw UsageError("port out of range: " + arg);
       opt.port = static_cast<std::uint16_t>(port);
     } else if (arg == "--deadline-ms") {
-      opt.deadline_ms = static_cast<std::int64_t>(next_u64());
+      opt.deadline_ms = next_ms();
     } else if (arg == "--default-deadline-ms") {
-      opt.default_deadline_ms = static_cast<std::int64_t>(next_u64());
+      opt.default_deadline_ms = next_ms();
     } else if (arg == "--kind") {
       opt.kind = next();
     } else if (arg == "--ring") {
@@ -438,8 +452,7 @@ int run_local(const Options& opt, service::SolveRequest::Kind default_kind) {
   const service::SolveRequest request = make_request(opt, default_kind);
   return print_response(
       opt, request,
-      service::solve_request(request, service::ServerOptions{},
-                             Deadline::unlimited()));
+      service::solve_request(request, service::ServerOptions{}));
 }
 
 int run_serve(const Options& opt) {
@@ -598,7 +611,7 @@ int dispatch(const std::string& command, const Options& opt) {
       RingBatchConfig config;
       config.gen.num_edges = opt.edges;
       config.gen.num_tasks = opt.tasks;
-      config.solver.path.eps = opt.eps;
+      config.solver.eps = opt.eps;
       config.certify = opt.certify;
       fn = make_ring_batch_case(config);
     } else {

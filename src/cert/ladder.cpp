@@ -19,10 +19,12 @@
 namespace sap::cert {
 namespace {
 
-/// Fixed rung budgets: the exact_dp beam cap, the ufpp_bnb node budget and
-/// the fixed-point denominator S of the repaired dual prices (recorded in
-/// every lp_dual certificate, so the checker needs no copy of it).
+/// Fixed rung budgets: the exact_dp beam cap, the ufpp_bnb task cap and
+/// node budget, and the fixed-point denominator S of the repaired dual
+/// prices (recorded in every lp_dual certificate, so the checker needs no
+/// copy of it).
 constexpr std::size_t kExactDpMaxStates = 100'000;
+constexpr std::size_t kUfppBnbMaxTasks = 18;
 constexpr std::size_t kUfppBnbMaxNodes = 2'000'000;
 constexpr std::int64_t kDualScale = std::int64_t{1} << 20;
 
@@ -158,7 +160,7 @@ bool try_lp_dual(const Instance& inst, const Deadline& deadline,
     }
   }
 
-  const LpSolution lp = solve_lp(dual, 0, deadline);
+  const LpSolution lp = solve_lp(dual, deadline);
   // sapkit-lint: end-allow(float-ban)
   if (lp.status == LpStatus::kTimeout) {
     *timed_out = true;
@@ -272,7 +274,7 @@ LadderResult run_ladder(const Instance& inst, const LadderOptions& options) {
     // Rung 2: exact UFPP optimum (>= OPT_SAP).
     const LadderRungAttempt bnb = oracle_attempt(
         UbRung::kUfppBnb,
-        options.try_ufpp_bnb && inst.num_tasks() <= options.bnb_max_tasks,
+        options.try_ufpp_bnb && inst.num_tasks() <= kUfppBnbMaxTasks,
         [&] {
           return ufpp_exact(inst, {.max_nodes = kUfppBnbMaxNodes,
                                    .deadline = options.deadline});

@@ -41,11 +41,10 @@ struct LadderOptions {
   std::size_t exact_dp_max_tasks = 24;
   Value exact_dp_max_capacity = 48;
 
-  /// Rung 2 (paths only): exact UFPP branch-and-bound. Applicable when
-  /// num_tasks is within the cap; used only when the search proves
-  /// optimality within its node budget.
+  /// Rung 2 (paths only): exact UFPP branch-and-bound. Applicable up to 18
+  /// tasks; used only when the search proves optimality within its node
+  /// budget.
   bool try_ufpp_bnb = true;
-  std::size_t bnb_max_tasks = 18;
 
   /// Rung 3: rational-repaired LP dual. Always applicable on non-empty
   /// instances; fails only if the simplex does not reach optimality or the

@@ -28,10 +28,7 @@ SapSolution elevator(const PathInstance& inst, std::span<const TaskId> band,
   SapExactOptions dp;
   dp.min_height = elevation_floor(params.beta, k);
   dp.deadline = params.deadline;
-  if (params.medium_allow_heuristic &&
-      band_cap > params.medium_exact_capacity_limit) {
-    dp.grounded_only = true;
-  }
+  dp.grounded_only = band_cap > params.medium_exact_capacity_limit;
   const SapExactResult result = sap_exact_profile_dp(sub, dp);
   if (result.timed_out) throw DeadlineExceeded("medium elevator DP");
   if (exact != nullptr) *exact = result.proven_optimal;
@@ -47,10 +44,7 @@ SapSolution elevator_lemma14(const PathInstance& inst,
 
   SapExactOptions dp;
   dp.deadline = params.deadline;
-  if (params.medium_allow_heuristic &&
-      band_cap > params.medium_exact_capacity_limit) {
-    dp.grounded_only = true;
-  }
+  dp.grounded_only = band_cap > params.medium_exact_capacity_limit;
   const SapExactResult result = sap_exact_profile_dp(sub, dp);
   if (result.timed_out) throw DeadlineExceeded("medium elevator DP");
   if (exact != nullptr) *exact = result.proven_optimal;

@@ -9,6 +9,11 @@
 
 namespace sap {
 
+/// Capacity above which a profile DP falls back to the grounded-heights
+/// heuristic: the default for SolverParams::medium_exact_capacity_limit and
+/// the SAP-U large-task DP's switch.
+inline constexpr Value kExactCapacityLimit = 512;
+
 /// Backend choice for the per-strip UFPP step of the small-task pipeline.
 enum class SmallTaskBackend {
   kLpRounding,  ///< Section 4.1: LP + quarter scaling + rounding, (4+eps)
@@ -41,22 +46,15 @@ struct SolverParams {
 
   SmallTaskBackend small_backend = SmallTaskBackend::kLocalRatio;
 
-  /// Trials and slack for the LP-rounding backend.
-  // sapkit-lint: allow(float-ban) -- forwarded verbatim to src/lp/, where
-  // floating point is in charter; core code never computes with it.
-  double lp_rounding_eps = 0.2;
-  int lp_rounding_trials = 8;
-
   /// Elevator backend: 0 = direct floored DP (default), 1 = the paper's
   /// Lemma-14 split of an unconstrained optimum. (Kept as an int to avoid a
   /// header cycle; matches ElevatorMode's enumerator order.)
   int elevator_mode = 0;
 
-  /// Use the grounded-heights heuristic in the medium DP when capacities
-  /// are too tall for the exact sweep (keeps runtime polynomial-ish at the
-  /// cost of exactness inside each class).
-  bool medium_allow_heuristic = true;
-  Value medium_exact_capacity_limit = 512;
+  /// Bands taller than this run the medium DP with the grounded-heights
+  /// heuristic (keeps runtime polynomial-ish at the cost of exactness
+  /// inside each class).
+  Value medium_exact_capacity_limit = kExactCapacityLimit;
 
   /// Node budget for the large-task rectangle MWIS branch-and-bound.
   std::size_t large_max_nodes = 5'000'000;

@@ -257,7 +257,7 @@ RectMwisResult rectangle_mwis(std::span<const TaskRect> rects,
   const std::size_t n = rects.size();
   RectMwisResult out;
   if (n == 0) return out;
-  Arena& arena = options.arena ? *options.arena : thread_arena();
+  Arena& arena = thread_arena();
   ArenaScope scope(arena);
   BitGraph graph(rects, arena);
 

@@ -14,8 +14,6 @@
 
 namespace sap {
 
-class Arena;
-
 /// R(j) = [s_j, t_j) x [b(j) - d_j, b(j)): the rectangle induced by placing
 /// task j at its residual capacity l(j) = b(j) - d_j.
 struct TaskRect {
@@ -57,9 +55,6 @@ struct RectMwisOptions {
   /// Cooperative cancellation: expiry stops the search and the result is a
   /// typed timeout (`timed_out`, empty selection) — never the incumbent.
   Deadline deadline{};
-  /// Bump allocator for the adjacency bitsets and search masks. nullptr
-  /// uses the calling thread's arena; the footprint is recycled on return.
-  Arena* arena = nullptr;
 };
 
 struct RectMwisResult {

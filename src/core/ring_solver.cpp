@@ -8,9 +8,16 @@
 #include "src/util/telemetry.hpp"
 
 namespace sap {
+namespace {
+
+// sapkit-lint: allow(float-ban) -- FPTAS accuracy of the through-cut branch;
+// the knapsack backend does its own exact bookkeeping in integers.
+constexpr double kKnapsackEps = 0.1;
+
+}  // namespace
 
 RingSapSolution solve_ring_sap(const RingInstance& inst,
-                               const RingSolverParams& params,
+                               const SolverParams& params,
                                RingSolveReport* report) {
   ScopedTimer solve_timer("ring.solve");
   const EdgeId cut = inst.min_capacity_edge();
@@ -53,10 +60,10 @@ RingSapSolution solve_ring_sap(const RingInstance& inst,
   RingSapSolution path_branch;
   Weight path_weight = 0;
   if (!path_tasks.empty()) {
-    params.path.deadline.check();
+    params.deadline.check();
     ScopedTimer timer("ring.stage.path");
     const PathInstance path(path_caps, path_tasks);
-    const SapSolution sol = solve_sap(path, params.path);
+    const SapSolution sol = solve_sap(path, params);
     for (const Placement& p : sol.placements) {
       const auto idx = static_cast<std::size_t>(p.task);
       path_branch.placements.push_back(
@@ -85,10 +92,10 @@ RingSapSolution solve_ring_sap(const RingInstance& inst,
   }
   RingSapSolution cut_branch;
   {
-    params.path.deadline.check();
+    params.deadline.check();
     ScopedTimer timer("ring.stage.cut");
     const KnapsackResult picked =
-        knapsack_fptas(items, inst.capacity(cut), params.knapsack_eps);
+        knapsack_fptas(items, inst.capacity(cut), kKnapsackEps);
     Value stack = 0;
     for (std::size_t idx : picked.chosen) {
       cut_branch.placements.push_back(

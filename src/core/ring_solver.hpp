@@ -22,19 +22,12 @@ struct RingSolveReport {
   RingBranch winner = RingBranch::kPath;
 };
 
-struct RingSolverParams {
-  /// Parameters of the path pipeline. `path.deadline` also governs the ring
-  /// solve as a whole (both branches check it; expiry throws
-  /// DeadlineExceeded, never a partial solution).
-  SolverParams path;
-  // sapkit-lint: allow(float-ban) -- FPTAS accuracy knob; the knapsack
-  // backend does its own exact bookkeeping in integers.
-  double knapsack_eps = 0.1;  ///< FPTAS accuracy for the through-cut branch
-};
-
 /// The ring SAP approximation pipeline. Always returns a feasible solution.
+/// `params` drive the path pipeline; `params.deadline` also governs the ring
+/// solve as a whole (both branches check it; expiry throws
+/// DeadlineExceeded, never a partial solution).
 [[nodiscard]] RingSapSolution solve_ring_sap(
-    const RingInstance& inst, const RingSolverParams& params = {},
+    const RingInstance& inst, const SolverParams& params = {},
     RingSolveReport* report = nullptr);
 
 }  // namespace sap

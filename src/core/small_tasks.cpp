@@ -51,9 +51,8 @@ SapSolution solve_small_tasks(const PathInstance& inst,
     double lp_value = 0.0;
     if (params.small_backend == SmallTaskBackend::kLpRounding) {
       Rng strip_rng = rng.fork();
-      const LpRoundingResult rounded = ufpp_lp_rounding_half_b(
-          sub, all, big_b,
-          {params.lp_rounding_eps, params.lp_rounding_trials}, strip_rng);
+      const LpRoundingResult rounded =
+          ufpp_lp_rounding_half_b(sub, all, big_b, {}, strip_rng);
       ufpp = rounded.solution;
       lp_value = rounded.lp_value;
     } else {

@@ -10,6 +10,11 @@
 namespace sap {
 namespace {
 
+/// rho is searched over multiples of 1 / kResolution, up to kMaxBlowup
+/// times the LOAD lower bound.
+constexpr std::int64_t kResolution = 64;
+constexpr double kMaxBlowup = 8.0;
+
 /// Orders tried by the packing portfolio (same spirit as dsa_pack).
 std::vector<std::vector<TaskId>> candidate_orders(
     const PathInstance& inst, std::span<const TaskId> subset) {
@@ -82,8 +87,7 @@ SapSolution pack_under_ceilings(const PathInstance& inst,
 }
 
 RhoPackResult rho_pack_all(const PathInstance& inst,
-                           std::span<const TaskId> subset,
-                           const RhoPackOptions& options) {
+                           std::span<const TaskId> subset) {
   RhoPackResult out;
   if (subset.empty()) {
     out.rho = 0.0;
@@ -99,20 +103,19 @@ RhoPackResult rho_pack_all(const PathInstance& inst,
   }
   out.lower_bound = lb;
 
-  // Search numerators of rho = num / resolution in
-  // [ceil(lb * resolution), ceil(lb * max_blowup * resolution)].
-  const std::int64_t res = options.resolution;
+  // Search numerators of rho = num / kResolution in
+  // [ceil(lb * kResolution), ceil(lb * kMaxBlowup * kResolution)].
   const auto lo_num = static_cast<std::int64_t>(
-      std::ceil(lb * static_cast<double>(res) - 1e-9));
+      std::ceil(lb * static_cast<double>(kResolution) - 1e-9));
   const auto hi_num = std::max(
       lo_num + 1, static_cast<std::int64_t>(std::ceil(
-                      lb * options.max_blowup * static_cast<double>(res))));
+                      lb * kMaxBlowup * static_cast<double>(kResolution))));
 
   auto ceilings_for = [&](std::int64_t num) {
     std::vector<Value> ceilings(inst.num_edges());
     for (std::size_t e = 0; e < ceilings.size(); ++e) {
       ceilings[e] = static_cast<Value>(
-          (static_cast<Int128>(inst.capacities()[e]) * num) / res);
+          (static_cast<Int128>(inst.capacities()[e]) * num) / kResolution);
     }
     return ceilings;
   };
@@ -143,7 +146,7 @@ RhoPackResult rho_pack_all(const PathInstance& inst,
       lo = mid + 1;
     }
   }
-  out.rho = static_cast<double>(hi) / static_cast<double>(res);
+  out.rho = static_cast<double>(hi) / static_cast<double>(kResolution);
   out.solution = std::move(feasible_solution);
   out.found = true;
   return out;

@@ -18,13 +18,6 @@
 
 namespace sap {
 
-struct RhoPackOptions {
-  /// rho is searched over multiples of 1/resolution.
-  std::int64_t resolution = 64;
-  /// Upper end of the search range, as a multiple of the lower bound.
-  double max_blowup = 8.0;
-};
-
 struct RhoPackResult {
   /// Smallest multiplier found such that every task packs under
   /// floor(rho * c_e) (heuristic => an upper bound on the true optimum).
@@ -33,13 +26,13 @@ struct RhoPackResult {
   double lower_bound = 0.0;
   /// The witness packing at `rho` (contains every task in the subset).
   SapSolution solution;
-  bool found = false;  ///< false iff even max_blowup * lower_bound failed
+  bool found = false;  ///< false iff even 8 * lower_bound failed
 };
 
-/// Packs all of `subset` into the tightest rho * c it can certify.
+/// Packs all of `subset` into the tightest rho * c it can certify,
+/// searching rho over multiples of 1/64 up to 8 times the lower bound.
 [[nodiscard]] RhoPackResult rho_pack_all(const PathInstance& inst,
-                                         std::span<const TaskId> subset,
-                                         const RhoPackOptions& options = {});
+                                         std::span<const TaskId> subset);
 
 /// Decision version: tries to pack every task under the given per-edge
 /// ceilings (height + demand <= ceiling on every used edge). Returns an

@@ -7,6 +7,10 @@
 namespace sap {
 namespace {
 
+/// Guards: exhaustive search refuses larger or taller inputs.
+constexpr std::size_t kMaxTasks = 20;
+constexpr Value kMaxCapacity = 64;
+
 struct BruteSearcher {
   const PathInstance& inst;
   std::vector<TaskId> order;
@@ -70,23 +74,22 @@ struct BruteSearcher {
 
 SapSolution sap_brute_force(const PathInstance& inst,
                             std::span<const TaskId> subset,
-                            const SapBruteForceOptions& options) {
-  if (subset.size() > options.max_tasks) {
+                            Deadline deadline) {
+  if (subset.size() > kMaxTasks) {
     throw std::invalid_argument("sap_brute_force: too many tasks");
   }
-  if (inst.max_capacity() > options.max_capacity) {
+  if (inst.max_capacity() > kMaxCapacity) {
     throw std::invalid_argument("sap_brute_force: capacities too large");
   }
-  BruteSearcher searcher(inst, subset, options.deadline);
+  BruteSearcher searcher(inst, subset, deadline);
   searcher.dfs(0);
   return SapSolution{std::move(searcher.best)};
 }
 
-SapSolution sap_brute_force(const PathInstance& inst,
-                            const SapBruteForceOptions& options) {
+SapSolution sap_brute_force(const PathInstance& inst, Deadline deadline) {
   std::vector<TaskId> all(inst.num_tasks());
   std::iota(all.begin(), all.end(), TaskId{0});
-  return sap_brute_force(inst, all, options);
+  return sap_brute_force(inst, all, deadline);
 }
 
 }  // namespace sap

@@ -14,22 +14,15 @@
 
 namespace sap {
 
-struct SapBruteForceOptions {
-  std::size_t max_tasks = 20;        ///< guard: refuse larger inputs
-  Value max_capacity = 64;           ///< guard: refuse taller instances
-  /// Cooperative cancellation: expiry aborts the search by throwing
-  /// DeadlineExceeded (a typed outcome — never a partial best-so-far).
-  Deadline deadline{};
-};
-
 /// Maximum-weight SAP solution by exhaustive search. Throws
-/// std::invalid_argument when the instance exceeds the guards and
-/// DeadlineExceeded when `options.deadline` expires mid-search.
-[[nodiscard]] SapSolution sap_brute_force(
-    const PathInstance& inst, std::span<const TaskId> subset,
-    const SapBruteForceOptions& options = {});
+/// std::invalid_argument on more than 20 tasks or a capacity above 64, and
+/// DeadlineExceeded (a typed outcome, never a partial best-so-far) when
+/// `deadline` expires mid-search.
+[[nodiscard]] SapSolution sap_brute_force(const PathInstance& inst,
+                                          std::span<const TaskId> subset,
+                                          Deadline deadline = {});
 
-[[nodiscard]] SapSolution sap_brute_force(
-    const PathInstance& inst, const SapBruteForceOptions& options = {});
+[[nodiscard]] SapSolution sap_brute_force(const PathInstance& inst,
+                                          Deadline deadline = {});
 
 }  // namespace sap

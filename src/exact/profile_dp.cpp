@@ -407,7 +407,7 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
                                     std::span<const TaskId> subset,
                                     const SapExactOptions& options) {
   ScopedTimer timer("dp.solve");
-  Arena& arena = options.arena != nullptr ? *options.arena : thread_arena();
+  Arena& arena = thread_arena();
   // The whole solve is one arena scope: every pool below is recycled (not
   // freed) on return, so the next solve on this thread reuses the chunks.
   ArenaScope scope(arena);

@@ -24,8 +24,6 @@
 
 namespace sap {
 
-class Arena;
-
 struct SapExactOptions {
   /// Beam cap on live states per edge; exceeding it truncates to the best
   /// states and clears `proven_optimal`.
@@ -43,10 +41,6 @@ struct SapExactOptions {
   /// result is a typed timeout (`timed_out`, empty solution) — never a
   /// partial answer. Default: unlimited.
   Deadline deadline{};
-  /// Bump allocator for the sweep's state pools and scratch. nullptr uses
-  /// the calling thread's arena; either way the solve's footprint is
-  /// recycled on return, so a warmed arena makes the sweep heap-free.
-  Arena* arena = nullptr;
 };
 
 struct SapExactResult {

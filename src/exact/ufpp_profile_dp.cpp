@@ -228,7 +228,7 @@ struct UfppSweep {
 UfppProfileDpResult ufpp_exact_profile_dp(
     const PathInstance& inst, std::span<const TaskId> subset,
     const UfppProfileDpOptions& options) {
-  Arena& arena = options.arena != nullptr ? *options.arena : thread_arena();
+  Arena& arena = thread_arena();
   // One arena scope per solve: all pools below are recycled on return.
   ArenaScope scope(arena);
 

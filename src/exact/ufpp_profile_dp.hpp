@@ -13,15 +13,10 @@
 
 namespace sap {
 
-class Arena;
-
 struct UfppProfileDpOptions {
   /// Beam cap on live states per edge; exceeding it truncates to the best
   /// states and clears `proven_optimal`.
   std::size_t max_states = 500'000;
-  /// Bump allocator for the sweep's state pools. nullptr uses the calling
-  /// thread's arena; either way the solve's footprint is recycled on return.
-  Arena* arena = nullptr;
 };
 
 struct UfppProfileDpResult {

@@ -6,6 +6,7 @@
 #include <ostream>
 
 #include "src/cert/certify.hpp"
+#include "src/cert/check.hpp"
 #include "src/core/sap_solver.hpp"
 #include "src/model/verify.hpp"
 
@@ -65,8 +66,7 @@ double certified_ratio(const cert::Certificate& cert) {
 /// independent check_certificate verifier.
 template <typename Instance, typename Solution>
 void bound_case(const Instance& inst, const Solution& sol, bool certify,
-                const cert::LadderOptions& ladder,
-                const cert::CheckOptions& check, BatchCase* out) {
+                const cert::LadderOptions& ladder, BatchCase* out) {
   if (!certify) {
     ScopedTimer timer("batch.bound");
     const RatioMeasurement m = measure_ratio(inst, sol, ladder);
@@ -92,7 +92,7 @@ void bound_case(const Instance& inst, const Solution& sol, bool certify,
   out->ratio = out->cert_ratio;
   ScopedTimer timer("batch.check_cert");
   out->cert_checked = static_cast<bool>(
-      cert::check_certificate(inst, sol, outcome.cert, check));
+      cert::check_certificate(inst, sol, outcome.cert));
 }
 
 }  // namespace
@@ -301,7 +301,7 @@ BatchCaseFn make_path_batch_case(const PathBatchConfig& config) {
     if (!verify_sap(inst, sol)) return out;
     out.feasible = true;
     out.algo_weight = sol.weight(inst);
-    bound_case(inst, sol, config.certify, config.bound, config.check, &out);
+    bound_case(inst, sol, config.certify, config.bound, &out);
     return out;
   };
 }
@@ -314,8 +314,7 @@ BatchCaseFn make_round_batch_case(const RoundBatchConfig& config) {
     round::RoundRatioMeasurement m;
     {
       ScopedTimer timer("batch.round");
-      m = round::measure_round_ratio(inst, config.kind, config.approx,
-                                     config.exact);
+      m = round::measure_round_ratio(inst, config.kind);
     }
     if (!m.approx_valid) return out;
     out.feasible = true;
@@ -334,8 +333,8 @@ BatchCaseFn make_ring_batch_case(const RingBatchConfig& config) {
   return [config](std::size_t /*index*/, std::uint64_t seed) {
     Rng rng(seed);
     const RingInstance ring = generate_ring_instance(config.gen, rng);
-    RingSolverParams params = config.solver;
-    params.path.seed = seed;
+    SolverParams params = config.solver;
+    params.seed = seed;
     BatchCase out;
     RingSapSolution sol;
     {
@@ -345,8 +344,7 @@ BatchCaseFn make_ring_batch_case(const RingBatchConfig& config) {
     if (!verify_ring_sap(ring, sol)) return out;
     out.feasible = true;
     out.algo_weight = ring.solution_weight(sol);
-    bound_case(ring, sol, config.certify, measurement_ladder(), config.check,
-               &out);
+    bound_case(ring, sol, config.certify, measurement_ladder(), &out);
     return out;
   };
 }

@@ -21,7 +21,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "src/cert/check.hpp"
+#include "src/cert/certificate.hpp"
 #include "src/core/ring_solver.hpp"
 #include "src/gen/generators.hpp"
 #include "src/harness/ratio_harness.hpp"
@@ -159,7 +159,6 @@ struct PathBatchConfig {
   SolverParams solver;
   cert::LadderOptions bound = measurement_ladder();
   bool certify = false;
-  cert::CheckOptions check;
 };
 [[nodiscard]] BatchCaseFn make_path_batch_case(const PathBatchConfig& config);
 
@@ -168,9 +167,8 @@ struct PathBatchConfig {
 /// path sweeps.
 struct RingBatchConfig {
   RingGenOptions gen;
-  RingSolverParams solver;
+  SolverParams solver;
   bool certify = false;
-  cert::CheckOptions check;
 };
 [[nodiscard]] BatchCaseFn make_ring_batch_case(const RingBatchConfig& config);
 
@@ -184,8 +182,6 @@ struct RingBatchConfig {
 struct RoundBatchConfig {
   round::RoundGenOptions gen;
   round::RoundKind kind = round::RoundKind::kUfp;
-  round::RoundApproxOptions approx;
-  round::RoundExactOptions exact;
 };
 [[nodiscard]] BatchCaseFn make_round_batch_case(const RoundBatchConfig& config);
 

@@ -153,13 +153,12 @@ LpSolution solve_lp(const LpProblem& problem, const LpOptions& options) {
   ScopedTimer timer("lp.solve");
   const std::size_t n = problem.num_vars();
   const std::size_t m = problem.constraints.size();
-  std::size_t max_iterations = options.max_iterations;
-  if (max_iterations == 0) max_iterations = 200 * (n + m + 16);
+  const std::size_t max_iterations = 200 * (n + m + 16);
   // Pivots are O(m * columns) apiece, so a short stride keeps cancellation
   // prompt without measurable overhead.
   DeadlineGate gate(options.deadline, /*stride=*/16);
 
-  Arena& arena = options.arena != nullptr ? *options.arena : thread_arena();
+  Arena& arena = thread_arena();
   ArenaScope scope(arena);
 
   // Column layout: [0, n) structural, [n, n + m) slack/surplus (one per
@@ -321,10 +320,8 @@ LpSolution solve_lp(const LpProblem& problem, const LpOptions& options) {
   return out;
 }
 
-LpSolution solve_lp(const LpProblem& problem, std::size_t max_iterations,
-                    Deadline deadline) {
+LpSolution solve_lp(const LpProblem& problem, Deadline deadline) {
   LpOptions options;
-  options.max_iterations = max_iterations;
   options.deadline = deadline;
   return solve_lp(problem, options);
 }

@@ -6,10 +6,9 @@
 // the exact oracles, and (c) bounding in the exact UFPP branch-and-bound.
 //
 // The tableau lives in flat arena-backed storage (src/util/flat.hpp): a
-// solve borrows the calling thread's arena (or one supplied via LpOptions)
-// and releases its whole footprint on return, so repeated solves -- the
-// branch-and-bound bound loop above all -- touch the heap only to copy the
-// final x vector out.
+// solve borrows the calling thread's arena and releases its whole footprint
+// on return, so repeated solves -- the branch-and-bound bound loop above
+// all -- touch the heap only to copy the final x vector out.
 #pragma once
 
 #include <cstddef>
@@ -18,8 +17,6 @@
 #include "src/util/deadline.hpp"
 
 namespace sap {
-
-class Arena;
 
 enum class LpStatus {
   kOptimal,
@@ -69,27 +66,21 @@ enum class LpPricing {
 };
 
 struct LpOptions {
-  /// Pivot budget across both phases; 0 picks an automatic budget scaled to
-  /// the problem size. Bland's anti-cycling rule takes over halfway through.
-  std::size_t max_iterations = 0;
   /// Polled once per pivot; on expiry the solve returns LpStatus::kTimeout
   /// with no solution (never a partial basis).
   Deadline deadline{};
   LpPricing pricing = LpPricing::kDantzig;
-  /// Arena for the tableau. nullptr borrows the calling thread's arena;
-  /// either way the solve's footprint is recycled on return.
-  Arena* arena = nullptr;
 };
 
 /// Solves `problem` with dense two-phase primal simplex on a flat
 /// arena-backed tableau. Pricing is per LpOptions with a Bland's-rule
-/// fallback after a stall to guarantee termination.
+/// fallback halfway through the pivot budget (200 * (rows + columns + 16)
+/// across both phases) to guarantee termination.
 [[nodiscard]] LpSolution solve_lp(const LpProblem& problem,
                                   const LpOptions& options);
 
-/// Convenience wrapper: Dantzig pricing on the calling thread's arena.
+/// Convenience wrapper: Dantzig pricing.
 [[nodiscard]] LpSolution solve_lp(const LpProblem& problem,
-                                  std::size_t max_iterations = 0,
                                   Deadline deadline = {});
 
 }  // namespace sap

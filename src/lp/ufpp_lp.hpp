@@ -25,7 +25,7 @@ namespace sap {
 [[nodiscard]] LpSolution solve_ufpp_relaxation(const PathInstance& inst,
                                                std::span<const TaskId> subset);
 
-/// Same, with explicit LP options (pricing rule, deadline, arena). Bound
+/// Same, with explicit LP options (pricing rule, deadline). Bound
 /// consumers that only need the objective value pass steepest-edge here;
 /// anything that consumes x fractionally sticks with the default overload.
 [[nodiscard]] LpSolution solve_ufpp_relaxation(const PathInstance& inst,

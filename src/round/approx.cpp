@@ -251,8 +251,7 @@ void classify(const PathInstance& inst, std::vector<TaskId>& small_ids,
 RoundAssignment solve_round_ufp_approx(const PathInstance& inst,
                                        const RoundApproxOptions& options,
                                        RoundApproxReport* report) {
-  Arena& arena = options.arena != nullptr ? *options.arena : thread_arena();
-  ArenaScope scope(arena);
+  ArenaScope scope(thread_arena());
   DeadlineGate gate(options.deadline, /*stride=*/64);
   RoundAssignment out;
   out.kind = RoundKind::kUfp;
@@ -279,8 +278,7 @@ RoundAssignment solve_round_ufp_approx(const PathInstance& inst,
 RoundAssignment solve_round_sap_approx(const PathInstance& inst,
                                        const RoundApproxOptions& options,
                                        RoundApproxReport* report) {
-  Arena& arena = options.arena != nullptr ? *options.arena : thread_arena();
-  ArenaScope scope(arena);
+  ArenaScope scope(thread_arena());
   DeadlineGate gate(options.deadline, /*stride=*/64);
   RoundAssignment out;
   out.kind = RoundKind::kSap;

@@ -49,25 +49,19 @@
 //      non-uniform capacities) are first-fitted into extra rounds.
 //
 // Both entry points take the house Deadline/Arena contract: expiry throws
-// DeadlineExceeded (never a partial answer), scratch comes from the given
-// arena (nullptr = the calling thread's) and is rewound on return.
+// DeadlineExceeded (never a partial answer), scratch comes from the calling
+// thread's arena and is rewound on return.
 #pragma once
 
 #include "src/model/path_instance.hpp"
 #include "src/round/solution.hpp"
 #include "src/util/deadline.hpp"
 
-namespace sap {
-class Arena;
-}  // namespace sap
-
 namespace sap::round {
 
 struct RoundApproxOptions {
   /// Cooperative budget; checked at per-task/per-round probe granularity.
   Deadline deadline{};
-  /// Scratch allocator; nullptr uses the calling thread's arena.
-  Arena* arena = nullptr;
   /// Round-SAP only: run the DSA slab arm alongside profiled first fit and
   /// keep the better packing. Off = first fit only (the cheap pipeline the
   /// server's deadline degradation uses).

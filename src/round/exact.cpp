@@ -12,6 +12,12 @@
 namespace sap::round {
 namespace {
 
+/// DFS node budget across all tried round counts; exceeding it returns the
+/// best known assignment with `proven_optimal` cleared.
+constexpr std::uint64_t kMaxNodes = 1'000'000;
+/// Beam cap of each SAP feasibility probe.
+constexpr std::size_t kMaxProbeStates = 200'000;
+
 // Probe verdicts: trusted feasible / trusted infeasible / beam-truncated
 // infeasible (may be wrong) / deadline hit mid-probe.
 enum class Verdict : std::int8_t {
@@ -79,9 +85,8 @@ struct Search {
       if (it != memo.end()) return it->second;
     }
     SapExactOptions probe_opts;
-    probe_opts.max_states = options.max_probe_states;
+    probe_opts.max_states = kMaxProbeStates;
     probe_opts.deadline = options.deadline;
-    probe_opts.arena = options.arena;
     const SapExactResult r = sap_exact_profile_dp(*twin, set, probe_opts);
     if (r.timed_out) return Verdict::kExpired;
     Verdict v = Verdict::kUntrustedInfeasible;
@@ -102,7 +107,7 @@ struct Search {
   bool dfs(std::size_t idx, std::size_t used) {
     if (expired || out_of_budget) return false;
     ++nodes;
-    if (nodes > options.max_nodes) {
+    if (nodes > kMaxNodes) {
       out_of_budget = true;
       return false;
     }
@@ -184,9 +189,8 @@ struct Search {
         }
       } else {
         SapExactOptions probe_opts;
-        probe_opts.max_states = options.max_probe_states;
+        probe_opts.max_states = kMaxProbeStates;
         probe_opts.deadline = options.deadline;
-        probe_opts.arena = options.arena;
         const SapExactResult res =
             sap_exact_profile_dp(*twin, members[r], probe_opts);
         if (res.timed_out ||
@@ -212,8 +216,7 @@ struct Search {
 
 RoundExactResult solve_round_exact(const PathInstance& inst, RoundKind kind,
                                    const RoundExactOptions& options) {
-  Arena& arena = options.arena != nullptr ? *options.arena : thread_arena();
-  ArenaScope scope(arena);
+  ArenaScope scope(thread_arena());
   RoundExactResult out;
   out.assignment.kind = kind;
   if (inst.num_tasks() == 0) {
@@ -224,7 +227,6 @@ RoundExactResult solve_round_exact(const PathInstance& inst, RoundKind kind,
   // Upper bound: the approximation's assignment (always valid).
   RoundApproxOptions approx_opts;
   approx_opts.deadline = options.deadline;
-  approx_opts.arena = options.arena;
   RoundAssignment upper;
   try {
     upper = kind == RoundKind::kUfp ? solve_round_ufp_approx(inst, approx_opts)

@@ -17,7 +17,9 @@
 // approximation was already optimal. Trust accounting: a beam-truncated
 // (non-proven) probe that reports infeasible may prune a real solution, so
 // it clears `proven_optimal` while keeping the returned assignment valid;
-// the node budget does the same. The deadline mirrors SapExactResult
+// the DFS node budget (1e6 across all tried round counts) does the same.
+// Probes run with a 200000-state beam; scratch comes from the calling
+// thread's arena. The deadline mirrors SapExactResult
 // semantics: `timed_out` with an empty assignment, never a partial answer.
 #pragma once
 
@@ -27,22 +29,11 @@
 #include "src/round/solution.hpp"
 #include "src/util/deadline.hpp"
 
-namespace sap {
-class Arena;
-}  // namespace sap
-
 namespace sap::round {
 
 struct RoundExactOptions {
   /// Cooperative cancellation; expiry yields `timed_out`, empty assignment.
   Deadline deadline{};
-  /// Scratch allocator; nullptr uses the calling thread's arena.
-  Arena* arena = nullptr;
-  /// DFS node budget across all tried round counts; exceeding it returns
-  /// the best known assignment with `proven_optimal` cleared.
-  std::uint64_t max_nodes = 1'000'000;
-  /// Beam cap forwarded to each SAP feasibility probe.
-  std::size_t max_probe_states = 200'000;
 };
 
 struct RoundExactResult {

@@ -4,8 +4,7 @@
 // integer counts (src/harness does).
 #pragma once
 
-#include "src/round/approx.hpp"
-#include "src/round/exact.hpp"
+#include "src/model/path_instance.hpp"
 #include "src/round/solution.hpp"
 
 namespace sap::round {
@@ -25,8 +24,6 @@ struct RoundRatioMeasurement {
 /// approximation itself cannot finish; an oracle timeout is reported in the
 /// measurement (with oracle_rounds falling back to approx_rounds).
 [[nodiscard]] RoundRatioMeasurement measure_round_ratio(
-    const PathInstance& inst, RoundKind kind,
-    const RoundApproxOptions& approx_options = {},
-    const RoundExactOptions& exact_options = {});
+    const PathInstance& inst, RoundKind kind);
 
 }  // namespace sap::round

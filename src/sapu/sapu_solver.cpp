@@ -3,6 +3,7 @@
 #include <stdexcept>
 
 #include "src/dsa/strip_transform.hpp"
+#include "src/exact/profile_dp.hpp"
 #include "src/ufpp/local_ratio.hpp"
 
 namespace sap {
@@ -24,10 +25,12 @@ SapSolution solve_sap_uniform(const PathInstance& inst,
   }
 
   // Large branch: exact (or grounded-heuristic) DP on the large tasks.
-  SapExactOptions dp = options.dp;
-  if (cap > options.exact_capacity_limit) dp.grounded_only = true;
+  SapExactOptions dp;
+  dp.grounded_only = cap > kExactCapacityLimit;
+  dp.deadline = options.deadline;
   const SapExactResult large_result =
       sap_exact_profile_dp(inst, large, dp);
+  if (large_result.timed_out) throw DeadlineExceeded("SAP-U large-task DP");
 
   // Small branch: UFPP-U local ratio at full capacity, then strip-pack the
   // result into the [0, cap) strip.

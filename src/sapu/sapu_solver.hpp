@@ -13,17 +13,17 @@
 #pragma once
 
 #include "src/core/params.hpp"
-#include "src/exact/profile_dp.hpp"
 #include "src/model/path_instance.hpp"
 #include "src/model/solution.hpp"
+#include "src/util/deadline.hpp"
 
 namespace sap {
 
 struct SapUniformOptions {
-  Ratio delta{1, 4};      ///< small/large split threshold
-  SapExactOptions dp;     ///< budget for the large-task DP
-  /// Switch the large-task DP to grounded heuristic above this capacity.
-  Value exact_capacity_limit = 512;
+  Ratio delta{1, 4};  ///< small/large split threshold
+  /// Budget of the large-task DP (grounded heuristic above
+  /// kExactCapacityLimit); expiry throws DeadlineExceeded.
+  Deadline deadline{};
 };
 
 struct SapUniformReport {
@@ -36,7 +36,9 @@ struct SapUniformReport {
 };
 
 /// Solves SAP with uniform capacities. Throws std::invalid_argument when
-/// capacities are not uniform. Always returns a feasible solution.
+/// capacities are not uniform, and DeadlineExceeded (never a partial
+/// solution) when the deadline expires. Otherwise returns a feasible
+/// solution.
 [[nodiscard]] SapSolution solve_sap_uniform(
     const PathInstance& inst, const SapUniformOptions& options = {},
     SapUniformReport* report = nullptr);

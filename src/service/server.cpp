@@ -471,15 +471,8 @@ void Server::run_and_respond(const ResponseTarget& target,
 bool Server::run_solve_request(const SolveRequest& request,
                                SolveResponse* response,
                                ErrorResponse* rejection) {
-  // Per-request budget: the client's deadline_ms wins; otherwise the server
-  // default applies; otherwise unlimited (the legacy behaviour).
-  const std::int64_t budget_ms = request.deadline_ms > 0
-                                     ? request.deadline_ms
-                                     : options_.default_deadline_ms;
   try {
-    *response = solve_request(request, options_,
-                              budget_ms > 0 ? Deadline::after_ms(budget_ms)
-                                            : Deadline::unlimited());
+    *response = solve_request(request, options_);
     return true;
   } catch (const std::invalid_argument& error) {
     *rejection = {ErrorCode::kBadRequest, error.what()};

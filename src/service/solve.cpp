@@ -28,7 +28,7 @@ using Kind = SolveRequest::Kind;
 struct Call {
   const SolveRequest& request;
   const ServerOptions& options;
-  const Deadline& deadline;
+  Deadline deadline;
 };
 
 SolverParams path_params(const Call& call) {
@@ -63,8 +63,8 @@ SapSolution path_exact(const PathInstance& inst, const Call& call) {
   return oracle.solution;
 }
 
-SapSolution path_uniform(const PathInstance& inst, const Call&) {
-  return solve_sap_uniform(inst);
+SapSolution path_uniform(const PathInstance& inst, const Call& call) {
+  return solve_sap_uniform(inst, {.deadline = call.deadline});
 }
 
 /// `algo small|medium|large`: one stage of the pipeline over every task.
@@ -115,15 +115,11 @@ round::RoundAssignment round_fallback(const PathInstance& inst,
 }
 
 RingSapSolution ring_full(const RingInstance& inst, const Call& call) {
-  RingSolverParams params;
-  params.path = path_params(call);
-  return solve_ring_sap(inst, params);
+  return solve_ring_sap(inst, path_params(call));
 }
 
 RingSapSolution ring_fallback(const RingInstance& inst, const Call& call) {
-  RingSolverParams fallback;
-  fallback.path = degraded_params(call);
-  return solve_ring_sap(inst, fallback);
+  return solve_ring_sap(inst, degraded_params(call));
 }
 
 /// One-line {"name": value, ...} over the (deterministic) counters only;
@@ -283,8 +279,12 @@ const Entry kRoutes[] = {
 }  // namespace
 
 SolveResponse solve_request(const SolveRequest& request,
-                            const ServerOptions& options,
-                            const Deadline& deadline) {
+                            const ServerOptions& options) {
+  const std::int64_t budget_ms = request.deadline_ms > 0
+                                     ? request.deadline_ms
+                                     : options.default_deadline_ms;
+  const Deadline deadline =
+      budget_ms > 0 ? Deadline::after_ms(budget_ms) : Deadline::unlimited();
   std::string known;
   for (const Entry& entry : kRoutes) {
     if (entry.kind != request.kind) continue;

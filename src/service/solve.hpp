@@ -9,21 +9,21 @@
 
 #include "src/service/protocol.hpp"
 #include "src/service/server.hpp"
-#include "src/util/deadline.hpp"
 
 namespace sap::service {
 
 /// Beam cap of the exponential profile DP behind `algo exact` on paths.
 inline constexpr std::size_t kExactMaxStates = 5'000'000;
 
-/// Solves `request` under `deadline`. Uses `options.read_limits` to parse
-/// the instance and fires `options.fault_injector` at
-/// FaultPoint::kPreFallback. Throws std::invalid_argument for a bad
-/// request: malformed instance text, an unknown (kind, algo) pair, or a
-/// certificate asked of a round kind. An expired deadline never throws: the
-/// response comes back `degraded` with the cut stages in `skipped`.
+/// Solves `request` under its budget, which starts now: `deadline_ms`
+/// when set, else `options.default_deadline_ms` when set, else unlimited.
+/// Uses `options.read_limits` to parse the instance and fires
+/// `options.fault_injector` at FaultPoint::kPreFallback. Throws
+/// std::invalid_argument for a bad request: malformed instance text, an
+/// unknown (kind, algo) pair, or a certificate asked of a round kind. An
+/// expired deadline never throws: the response comes back `degraded` with
+/// the cut stages in `skipped`.
 [[nodiscard]] SolveResponse solve_request(const SolveRequest& request,
-                                          const ServerOptions& options,
-                                          const Deadline& deadline);
+                                          const ServerOptions& options);
 
 }  // namespace sap::service

@@ -9,6 +9,9 @@
 namespace sap {
 namespace {
 
+/// With use_lp_bound, nodes at depths [0, kLpBoundDepth) get LP bounds.
+constexpr std::size_t kLpBoundDepth = 8;
+
 struct Searcher {
   const PathInstance& inst;
   const UfppExactOptions& options;
@@ -66,7 +69,7 @@ struct Searcher {
   /// residual capacities.
   [[nodiscard]] double remaining_bound(std::size_t i, std::size_t depth) {
     const auto loose = static_cast<double>(suffix[i]);
-    if (!options.use_lp_bound || depth >= options.lp_bound_depth) {
+    if (!options.use_lp_bound || depth >= kLpBoundDepth) {
       return loose;
     }
     rest.clear();

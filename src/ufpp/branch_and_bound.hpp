@@ -17,8 +17,7 @@ namespace sap {
 
 struct UfppExactOptions {
   std::size_t max_nodes = 20'000'000;  ///< search-node budget
-  bool use_lp_bound = true;            ///< LP bound at shallow nodes
-  std::size_t lp_bound_depth = 8;      ///< depths [0, this) get LP bounds
+  bool use_lp_bound = true;            ///< LP bound at depths [0, 8)
   /// Cooperative cancellation: expiry stops the search and the result is a
   /// typed timeout (`timed_out`, empty solution) — never a partial answer.
   Deadline deadline{};

@@ -41,11 +41,8 @@ UfppSolution solve_small_ufpp(const PathInstance& inst,
     UfppSolution octave_sol;
     if (params.small_backend == SmallTaskBackend::kLpRounding) {
       Rng octave_rng = rng.fork();
-      octave_sol = ufpp_lp_rounding_half_b(
-                       sub, all, big_b,
-                       {params.lp_rounding_eps, params.lp_rounding_trials},
-                       octave_rng)
-                       .solution;
+      octave_sol =
+          ufpp_lp_rounding_half_b(sub, all, big_b, {}, octave_rng).solution;
     } else {
       octave_sol = ufpp_strip_local_ratio(sub, all, big_b);
     }

@@ -50,12 +50,23 @@ class Deadline {
     return d;
   }
 
+  /// `budget` from now. A budget past the clock's range is unlimited; a
+  /// negative one is already expired.
   [[nodiscard]] static Deadline after(Clock::duration budget) {
-    return at(Clock::now() + budget);
+    const Clock::time_point now = Clock::now();
+    if (budget > Clock::time_point::max() - now) return unlimited();
+    return at(now + std::max(budget, Clock::duration::zero()));
   }
 
+  /// after() in milliseconds, saturating the same way (the conversion to
+  /// clock ticks would overflow first).
   [[nodiscard]] static Deadline after_ms(std::int64_t ms) {
-    return after(std::chrono::milliseconds(ms));
+    constexpr std::int64_t kMaxMs =
+        std::chrono::duration_cast<std::chrono::milliseconds>(
+            Clock::duration::max())
+            .count();
+    if (ms > kMaxMs) return unlimited();
+    return after(std::chrono::milliseconds(std::max<std::int64_t>(ms, 0)));
   }
 
   [[nodiscard]] static constexpr Deadline unlimited() noexcept {

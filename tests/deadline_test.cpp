@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <limits>
 #include <vector>
 
 #include "src/cert/ladder.hpp"
@@ -15,6 +16,7 @@
 #include "src/exact/profile_dp.hpp"
 #include "src/gen/generators.hpp"
 #include "src/lp/simplex.hpp"
+#include "src/sapu/sapu_solver.hpp"
 #include "src/ufpp/branch_and_bound.hpp"
 #include "src/util/deadline.hpp"
 #include "src/util/rng.hpp"
@@ -76,6 +78,29 @@ TEST(DeadlineTest, MinPicksTheEarlierDeadline) {
   EXPECT_FALSE(Deadline::unlimited().min(Deadline::unlimited()).has_deadline());
 }
 
+TEST(DeadlineTest, BudgetBeyondClockRangeIsUnlimited) {
+  // ms -> clock ticks would overflow int64 (UB); such a budget saturates to
+  // unlimited instead of wrapping into one already expired.
+  for (const Deadline d :
+       {Deadline::after_ms(std::numeric_limits<std::int64_t>::max()),
+        Deadline::after(Deadline::Clock::duration::max())}) {
+    EXPECT_FALSE(d.has_deadline());
+    EXPECT_FALSE(d.expired());
+  }
+  // A long but representable budget stays a real deadline.
+  const Deadline century = Deadline::after(std::chrono::hours(24 * 36525));
+  EXPECT_TRUE(century.has_deadline());
+  EXPECT_FALSE(century.expired());
+  // Negative budgets, however large, are already expired.
+  for (const Deadline d :
+       {Deadline::after_ms(-5),
+        Deadline::after_ms(std::numeric_limits<std::int64_t>::min()),
+        Deadline::after(Deadline::Clock::duration::min())}) {
+    EXPECT_TRUE(d.has_deadline());
+    EXPECT_TRUE(d.expired());
+  }
+}
+
 TEST(DeadlineGateTest, GateLatchesOnceExpired) {
   DeadlineGate gate(already_expired(), /*stride=*/1);
   EXPECT_TRUE(gate.expired());
@@ -122,9 +147,8 @@ TEST(DeadlineSolverTest, ProfileDpWithGenerousDeadlineMatchesUnlimited) {
 
 TEST(DeadlineSolverTest, BruteForceThrowsTypedExceptionOnExpiry) {
   const PathInstance inst = hard_instance(12, 3);
-  SapBruteForceOptions options;
-  options.deadline = already_expired();
-  EXPECT_THROW((void)sap_brute_force(inst, options), DeadlineExceeded);
+  EXPECT_THROW((void)sap_brute_force(inst, already_expired()),
+               DeadlineExceeded);
 }
 
 TEST(DeadlineSolverTest, UfppBranchAndBoundReturnsTypedTimeout) {
@@ -145,10 +169,10 @@ TEST(DeadlineSolverTest, SimplexReturnsTimeoutStatus) {
   LpProblem lp;
   lp.objective = {1.0, 1.0};
   lp.constraints = {{{1.0, 1.0}, LpRelation::kLessEqual, 1.0}};
-  const LpSolution expired = solve_lp(lp, 0, already_expired());
+  const LpSolution expired = solve_lp(lp, already_expired());
   EXPECT_EQ(expired.status, LpStatus::kTimeout);
   const LpSolution fine =
-      solve_lp(lp, 0, Deadline::after(std::chrono::hours(1)));
+      solve_lp(lp, Deadline::after(std::chrono::hours(1)));
   EXPECT_EQ(fine.status, LpStatus::kOptimal);
   EXPECT_NEAR(fine.objective, 1.0, 1e-9);
 }
@@ -178,6 +202,16 @@ TEST(DeadlineSolverTest, FullPipelineThrowsTypedExceptionNeverPartial) {
   SolverParams params;
   params.deadline = already_expired();
   EXPECT_THROW((void)solve_sap(inst, params), DeadlineExceeded);
+}
+
+TEST(DeadlineSolverTest, SapUniformThrowsTypedExceptionNeverPartial) {
+  const PathInstance inst = hard_instance(16, 13);
+  EXPECT_THROW((void)solve_sap_uniform(inst, {.deadline = already_expired()}),
+               DeadlineExceeded);
+  const SapSolution plain = solve_sap_uniform(inst);
+  const SapSolution budgeted = solve_sap_uniform(
+      inst, {.deadline = Deadline::after(std::chrono::hours(1))});
+  EXPECT_EQ(plain.placements, budgeted.placements);
 }
 
 TEST(DeadlineSolverTest, FullPipelineWithGenerousDeadlineIsDeterministic) {

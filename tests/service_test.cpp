@@ -14,6 +14,7 @@
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <limits>
 #include <numeric>
 #include <semaphore>
 #include <sstream>
@@ -62,9 +63,9 @@ std::string reference_ring_solution(const std::string& instance_text,
                                     double eps, std::uint64_t seed) {
   std::istringstream is(instance_text);
   const RingInstance inst = read_ring_instance(is);
-  RingSolverParams params;
-  params.path.eps = eps;
-  params.path.seed = seed;
+  SolverParams params;
+  params.eps = eps;
+  params.seed = seed;
   std::ostringstream os;
   write_ring_solution(os, solve_ring_sap(inst, params));
   return os.str();
@@ -637,6 +638,57 @@ TEST(ServiceTest, ServerDefaultDeadlineAppliesWhenRequestCarriesNone) {
   const Client::SolveOutcome outcome = client.solve(request);
   ASSERT_TRUE(outcome.ok) << outcome.error_message;
   EXPECT_TRUE(outcome.response.degraded);
+  server.stop();
+}
+
+TEST(ServiceTest, ExpiredDeadlineDegradesUniformToVerifiedApproximation) {
+  Server server(ServerOptions{});
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+
+  // Uniform capacities and many tasks: the SAP-U large-task DP runs for
+  // 100+ ms, far past a 1 ms budget.
+  PathGenOptions gen;
+  gen.num_edges = 14;
+  gen.num_tasks = 200;
+  Rng rng(7);
+  SolveRequest request;
+  request.algo = "uniform";
+  request.deadline_ms = 1;
+  request.instance_text = to_string(generate_path_instance(gen, rng));
+  const Client::SolveOutcome outcome = client.solve(request);
+
+  ASSERT_TRUE(outcome.ok) << outcome.error_message;
+  EXPECT_TRUE(outcome.response.degraded);
+  EXPECT_NE(outcome.response.skipped.find("solve.uniform"), std::string::npos)
+      << outcome.response.skipped;
+  std::istringstream inst_is(request.instance_text);
+  const PathInstance inst = read_path_instance(inst_is);
+  std::istringstream sol_is(outcome.response.solution_text);
+  const VerifyResult verdict = verify_sap(inst, read_sap_solution(sol_is));
+  EXPECT_TRUE(verdict.ok) << verdict.reason;
+  server.stop();
+}
+
+TEST(ServiceTest, DeadlineBeyondClockRangeMeansUnlimited) {
+  Server server(ServerOptions{});
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+
+  SolveRequest request;
+  request.instance_text = "sap-path v1\nedges 2\ncapacities 6 6\ntasks 3\n"
+                          "0 1 2 5\n0 0 3 4\n1 1 2 6\n";
+  const Client::SolveOutcome plain = client.solve(request);
+  // ms -> clock ticks overflows int64 for this budget; it must saturate to
+  // "no deadline", not wrap into one that has already expired.
+  request.deadline_ms = std::numeric_limits<std::int64_t>::max();
+  const Client::SolveOutcome huge = client.solve(request);
+  ASSERT_TRUE(plain.ok) << plain.error_message;
+  ASSERT_TRUE(huge.ok) << huge.error_message;
+  EXPECT_FALSE(huge.response.degraded) << huge.response.skipped;
+  EXPECT_EQ(huge.response.solution_text, plain.response.solution_text);
   server.stop();
 }
 

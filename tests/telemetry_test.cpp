@@ -2,12 +2,17 @@
 // of concurrent collection, the disabled fast path, and JSON output.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <thread>
 #include <vector>
 
+#include "src/cert/certify.hpp"
 #include "src/core/sap_solver.hpp"
 #include "src/gen/generators.hpp"
+#include "src/round/approx.hpp"
+#include "src/round/exact.hpp"
+#include "src/round/gen.hpp"
 #include "src/util/telemetry.hpp"
 
 namespace sap {
@@ -151,37 +156,67 @@ TEST(TelemetryAllocTest, WarmSolveAcquiresNoNewArenaChunks) {
   // The arena counters fire only on the slow paths (heap chunk acquisition,
   // spare-list reuse), so they directly observe the allocation contract: a
   // cold solve may grow the thread arena, but a warm repeat of the same
-  // solve must run entirely out of the recycled footprint. Run on a fresh
-  // thread so the thread-local arena is guaranteed cold at the first solve.
+  // solve must run entirely out of the recycled footprint. Each entry point
+  // runs on a fresh thread so its thread-local arena is guaranteed cold at
+  // the first call.
   PathGenOptions opt;
   opt.num_edges = 8;
   opt.num_tasks = 14;
   opt.max_capacity = 16;
   Rng rng(77);
   const PathInstance inst = generate_path_instance(opt, rng);
+  const SapSolution sol = solve_sap(inst);
+  // Small enough for the Round-SAP oracle, and first fit overshoots the
+  // lower bound here, so the oracle's DFS runs profile-DP probes.
+  round::RoundGenOptions round_opt;
+  round_opt.base = opt;
+  round_opt.base.num_tasks = 8;
+  Rng round_rng(4);
+  const PathInstance round_inst =
+      round::generate_round_instance(round_opt, round_rng);
 
-  TelemetryReport cold;
-  TelemetryReport warm;
-  std::thread worker([&] {
-    {
-      TelemetrySession session(&cold);
-      (void)solve_sap(inst);
+  struct Entry {
+    const char* name;
+    std::function<void()> run;
+    bool scratch = true;  ///< false: packs in caller-owned vectors only
+  };
+  const Entry entries[] = {
+      {"solve_sap", [&] { (void)solve_sap(inst); }},
+      {"certify_solution", [&] { (void)cert::certify_solution(inst, sol); }},
+      {"solve_round_sap_approx",
+       [&] { (void)round::solve_round_sap_approx(round_inst); }, false},
+      {"solve_round_exact",
+       [&] {
+         (void)round::solve_round_exact(round_inst, round::RoundKind::kSap);
+       }},
+  };
+  for (const Entry& entry : entries) {
+    SCOPED_TRACE(entry.name);
+    TelemetryReport cold;
+    TelemetryReport warm;
+    std::thread worker([&] {
+      {
+        TelemetrySession session(&cold);
+        entry.run();
+      }
+      {
+        TelemetrySession session(&warm);
+        entry.run();
+      }
+    });
+    worker.join();
+
+    if (entry.scratch) {
+      EXPECT_GT(cold.count("alloc.arena.chunks"), 0);
+      EXPECT_GT(cold.count("alloc.arena.chunk_bytes"), 0);
     }
-    {
-      TelemetrySession session(&warm);
-      (void)solve_sap(inst);
-    }
-  });
-  worker.join();
+    // Geometric chunk growth keeps the heap trip count logarithmic in the
+    // footprint; a solve this size must stay far under this ceiling.
+    EXPECT_LE(cold.count("alloc.arena.chunks"), 32);
 
-  EXPECT_GT(cold.count("alloc.arena.chunks"), 0);
-  EXPECT_GT(cold.count("alloc.arena.chunk_bytes"), 0);
-  // Geometric chunk growth keeps the heap trip count logarithmic in the
-  // footprint; a solve this size must stay far under this ceiling.
-  EXPECT_LE(cold.count("alloc.arena.chunks"), 32);
-
-  EXPECT_EQ(warm.count("alloc.arena.chunks"), 0);
-  EXPECT_EQ(warm.count("alloc.arena.chunk_bytes"), 0);
+    EXPECT_EQ(warm.count("alloc.arena.chunks"), 0);
+    EXPECT_EQ(warm.count("alloc.arena.chunk_bytes"), 0);
+  }
 }
 
 TEST(TelemetrySolveTest, ConcurrentSolvesDoNotBleed) {

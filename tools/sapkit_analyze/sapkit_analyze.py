@@ -23,8 +23,9 @@ functions:
                        silently disables the caller's budget.
   arena-discipline     In the hot dirs (src/lp, src/exact, src/core,
                        src/ufpp, src/round), functions reachable from a
-                       solver entry point (one that takes an Arena or an
-                       arena-carrying options struct, or calls
+                       solver entry point (one that calls thread_arena(),
+                       or takes an Arena, an arena-carrying options struct
+                       or the *Options struct of a function that calls
                        thread_arena()) must not heap-allocate: no `new`,
                        no make_unique/make_shared, no growing std::vector/
                        std::string/node containers.  FlatBuf/FlatMat and
@@ -287,6 +288,14 @@ class Program:
                 prog.deadline_opt_types.add(cls_name)
             if "Arena" in types:
                 prog.arena_opt_types.add(cls_name)
+        # A solver that opens its own arena scope (calls thread_arena())
+        # names its options struct *Options; taking one runs that solve.
+        for func in (f for m in prog.files for f in m.functions):
+            if func.has_thread_arena:
+                for p in func.params:
+                    ptype = base_type_of(p.type_tokens)
+                    if ptype.endswith("Options"):
+                        prog.arena_opt_types.add(ptype)
         return prog
 
     def resolve_type(self, func: FunctionDef, name: str) -> str:
