@@ -19,10 +19,11 @@
 namespace sap::cert {
 namespace {
 
-/// Fixed rung budgets: the exact_dp beam cap, the ufpp_bnb task cap and
-/// node budget, and the fixed-point denominator S of the repaired dual
-/// prices (recorded in every lp_dual certificate, so the checker needs no
-/// copy of it).
+/// Fixed rung budgets: the exact_dp beams (the floor pass and the
+/// prove-or-stop pass), the ufpp_bnb task cap and node budget, and the
+/// fixed-point denominator S of the repaired dual prices (recorded in every
+/// lp_dual certificate, so the checker needs no copy of it).
+constexpr std::size_t kExactDpFloorStates = 256;
 constexpr std::size_t kExactDpMaxStates = 100'000;
 constexpr std::size_t kUfppBnbMaxTasks = 18;
 constexpr std::size_t kUfppBnbMaxNodes = 2'000'000;
@@ -211,6 +212,25 @@ bool try_lp_dual(const Instance& inst, const Deadline& deadline,
   return true;
 }
 
+/// The exact_dp rung. A small truncating pass finds a feasible floor L (and
+/// proves the optimum outright when no edge overflows its beam); only then
+/// is `suffix_bound()` asked for, and a pruned prove-or-stop pass drops
+/// every state that cannot beat L and proves max(L, best), or gives up at
+/// its first over-full edge.
+template <typename SuffixBound>
+SapExactResult exact_dp_rung(const PathInstance& inst,
+                             const Deadline& deadline,
+                             SuffixBound suffix_bound) {
+  const SapExactResult floor_pass = sap_exact_profile_dp(
+      inst, {.max_states = kExactDpFloorStates, .deadline = deadline});
+  if (floor_pass.proven_optimal || floor_pass.timed_out) return floor_pass;
+  const std::vector<Weight> suffix = suffix_bound();
+  return sap_exact_profile_dp(inst, {.max_states = kExactDpMaxStates,
+                                     .deadline = deadline,
+                                     .floor = floor_pass.weight,
+                                     .suffix_bound = suffix});
+}
+
 /// Records `attempt` and, when it proved `bound`, selects that bound as the
 /// ladder's answer and stamps telemetry. Returns whether it was selected.
 bool settle(LadderResult* result, const LadderRungAttempt& attempt,
@@ -256,6 +276,20 @@ LadderResult run_ladder(const Instance& inst, const LadderOptions& options) {
   Weight sum_w = 0;
   const bool sum_ok = checked_total_weight(inst, &sum_w);
 
+  // Rung 3's LP is solved at most once: early, when rung 1 needs its prices
+  // to prune (the time is then charged to rung 1), or in turn.
+  LadderRungAttempt lp{.rung = UbRung::kLpDual,
+                       .applicable = options.try_lp_dual};
+  UpperBoundCertificate candidate;
+  bool lp_solved = false;
+  const auto solve_lp_dual = [&] {
+    if (lp_solved || !lp.applicable) return;
+    lp_solved = true;
+    lp.proved =
+        try_lp_dual(inst, options.deadline, &candidate, &lp.timed_out);
+    if (lp.proved) lp.value = candidate.value;
+  };
+
   if constexpr (std::is_same_v<Instance, PathInstance>) {
     // Rung 1: exact SAP optimum by profile DP.
     const LadderRungAttempt dp = oracle_attempt(
@@ -265,9 +299,10 @@ LadderResult run_ladder(const Instance& inst, const LadderOptions& options) {
             (inst.num_edges() == 0 ||
              inst.max_capacity() <= options.exact_dp_max_capacity),
         [&] {
-          return sap_exact_profile_dp(
-              inst, {.max_states = kExactDpMaxStates,
-                     .deadline = options.deadline});
+          return exact_dp_rung(inst, options.deadline, [&] {
+            solve_lp_dual();
+            return suffix_upper_bounds(inst, candidate.dual);
+          });
         });
     if (settle(&result, dp, plain_bound(dp))) return result;
 
@@ -284,16 +319,9 @@ LadderResult run_ladder(const Instance& inst, const LadderOptions& options) {
 
   // Rung 3: rational-repaired LP dual. Skipped in favour of the fallback if
   // the repaired bound is looser than sum w.
-  LadderRungAttempt lp{.rung = UbRung::kLpDual,
-                       .applicable = options.try_lp_dual};
-  UpperBoundCertificate candidate;
-  if (lp.applicable) {
-    const auto start = Clock::now();
-    lp.proved =
-        try_lp_dual(inst, options.deadline, &candidate, &lp.timed_out);
-    lp.seconds = seconds_since(start);
-    if (lp.proved) lp.value = candidate.value;
-  }
+  const auto start = Clock::now();
+  solve_lp_dual();
+  lp.seconds = seconds_since(start);
   if (lp.proved && sum_ok && candidate.value > sum_w) {
     result.attempts.push_back(lp);
   } else if (settle(&result, lp, std::move(candidate))) {
@@ -310,6 +338,53 @@ LadderResult run_ladder(const Instance& inst, const LadderOptions& options) {
 }
 
 }  // namespace
+
+std::vector<Weight> suffix_upper_bounds(const PathInstance& inst,
+                                        const DualWitness& dual) {
+  const std::size_t m = inst.num_edges();
+  // Per start edge k, the weight of the tasks that start there and the
+  // scaled dual terms that belong to the suffix from k on: c_k*Y_k and the
+  // slacks z_j of those tasks.
+  std::vector<Int128> weight_at(m, 0);
+  std::vector<Int128> dual_at(m, 0);
+  bool dual_ok = dual.scale > 0 && dual.edge_price.size() == m;
+  for (std::size_t e = 0; dual_ok && e < m; ++e) {
+    dual_ok = dual.edge_price[e] >= 0 &&
+              checked_mul(inst.capacity(static_cast<EdgeId>(e)),
+                          dual.edge_price[e], &dual_at[e]);
+  }
+  for (std::size_t j = 0; j < inst.num_tasks(); ++j) {
+    const Task& t = inst.task(static_cast<TaskId>(j));
+    const auto k = static_cast<std::size_t>(t.first);
+    weight_at[k] += Int128{t.weight};
+    if (!dual_ok) continue;
+    Int128 price = 0;  // at most m int64 prices: cannot overflow 128 bits
+    for (EdgeId e = t.first; e <= t.last; ++e) {
+      price += dual.edge_price[static_cast<std::size_t>(e)];
+    }
+    Int128 scaled = 0;
+    Int128 covered = 0;
+    dual_ok = checked_mul(t.weight, dual.scale, &scaled) &&
+              checked_mul(t.demand, price, &covered) &&
+              (scaled <= covered ||
+               checked_add(dual_at[k], scaled - covered, &dual_at[k]));
+  }
+  std::vector<Int128> dual_from(m + 1, 0);
+  for (std::size_t k = m; dual_ok && k-- > 0;) {
+    dual_ok = checked_add(dual_from[k + 1], dual_at[k], &dual_from[k]);
+  }
+  // A set of the tasks starting at k or later is the tasks it takes at k
+  // plus a set bounded by bound[k + 1]. Without the dual this is the weight
+  // suffix sum, which fits in int64: the PathInstance constructor proved the
+  // instance total does.
+  std::vector<Weight> bound(m + 1, 0);
+  for (std::size_t k = m; k-- > 0;) {
+    Int128 b = Int128{bound[k + 1]} + weight_at[k];
+    if (dual_ok) b = std::min(b, dual_from[k] / dual.scale);
+    bound[k] = static_cast<Weight>(b);
+  }
+  return bound;
+}
 
 LadderResult run_upper_bound_ladder(const PathInstance& inst,
                                     const LadderOptions& options) {

@@ -3,7 +3,13 @@
 // Rungs, tightest first (OPT_SAP <= OPT_UFPP <= LP <= sum w justifies
 // stopping at the first rung that proves a bound):
 //   1. exact_dp      — exact SAP optimum via the profile DP (tiny path
-//                      instances);
+//                      instances), proven or given up: a plain 256-state
+//                      truncating pass finds a floor L (or proves the
+//                      optimum outright); if it does not prove, a 100k-state
+//                      prove-or-stop pass drops every state whose weight
+//                      plus the lp_dual suffix bound of the edges still
+//                      ahead is <= L, and stops at the first edge that would
+//                      truncate;
 //   2. ufpp_bnb      — exact UFPP optimum via branch-and-bound (paths);
 //   3. lp_dual       — the UFPP LP relaxation, certified by an exact
 //                      rational re-check of dual feasibility: the simplex
@@ -18,8 +24,11 @@
 //                      and floor() is sound because OPT is integral;
 //   4. total_weight  — sum of all weights, the unconditional fallback.
 //
-// The result records which rung fired, its bound, and per-rung attempt
-// timings so callers can report the cost of certification.
+// The lp_dual LP is solved at most once: inside rung 1 when its prices are
+// needed there for pruning (its time is then part of rung 1's), else in
+// turn. Attempts are recorded in rung order. The result records which rung
+// fired, its bound, and per-rung attempt timings so callers can report the
+// cost of certification.
 #pragma once
 
 #include <cstddef>
@@ -35,8 +44,8 @@ namespace sap::cert {
 
 struct LadderOptions {
   /// Rung 1 (paths only): exact SAP profile DP. Applicable when the
-  /// instance is within both caps; used only when the DP proves optimality
-  /// within its beam.
+  /// instance is within both caps (task count and max capacity); used only
+  /// when the DP proves optimality within its beam.
   bool try_exact_dp = true;
   std::size_t exact_dp_max_tasks = 24;
   Value exact_dp_max_capacity = 48;
@@ -86,5 +95,16 @@ struct LadderResult {
     const PathInstance& inst, const LadderOptions& options = {});
 [[nodiscard]] LadderResult run_upper_bound_ladder(
     const RingInstance& inst, const LadderOptions& options = {});
+
+/// The exact_dp rung's pruning bound: entry k bounds the weight of any
+/// feasible set of the tasks that start at edge k or later, and entry
+/// num_edges is 0. Entry k is the smaller of entry k + 1 plus the weight of
+/// the tasks starting at k, and those tasks' share of the repaired dual
+/// bound, floor((sum_{e >= k} c_e*y_e + sum_{first_j >= k} z_j) / S), which
+/// weak duality makes an upper bound on that sub-instance. Without usable
+/// prices (none, a bad scale or a negative price) or on a 128-bit overflow,
+/// the entries are the tasks' weight suffix sums.
+[[nodiscard]] std::vector<Weight> suffix_upper_bounds(const PathInstance& inst,
+                                                      const DualWitness& dual);
 
 }  // namespace sap::cert

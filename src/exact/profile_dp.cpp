@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 #include <numeric>
+#include <stdexcept>
 #include <vector>
 
 #include "src/util/arena.hpp"
@@ -190,6 +191,15 @@ struct SweepContext {
   std::vector<std::vector<Value>> candidates_by_depth;
 
   DeadlineGate gate;
+  // Pruned prove-or-stop mode (a non-empty suffix_bound). At the current
+  // edge, a state of weight <= prune_at cannot beat the floor
+  // (prune_at = floor - suffix_bound[edge + 1]).
+  bool pruning;
+  Weight prune_at = 0;
+  std::int64_t pruned = 0;  ///< enumeration branches cut below the floor
+  // The overflow brake: emits stop once `next` holds more than this many
+  // states. Prove-or-stop gives up at max_states anyway, so it brakes there.
+  std::size_t brake;
   bool overflow = false;
   bool timed_out = false;
 
@@ -207,7 +217,20 @@ struct SweepContext {
         frontier(arena),
         next(arena),
         dedupe(arena),
-        gate(options_.deadline) {}
+        gate(options_.deadline),
+        pruning(!options_.suffix_bound.empty()),
+        brake(pruning ? options_.max_states : 4 * options_.max_states) {}
+
+  /// Pruning only: whether an enumeration branch that has placed `placed`
+  /// weight of this edge's starters, and may still place `undecided` more,
+  /// can end in a state that beats the floor. A branch that cannot is cut
+  /// (and counted); every leaf of a surviving branch then has
+  /// weight + suffix_bound[edge + 1] > floor.
+  [[nodiscard]] bool can_beat_floor(Weight placed, Weight undecided) {
+    if (Int128{base_weight} + placed + undecided > prune_at) return true;
+    ++pruned;
+    return false;
+  }
 
   void emit(Weight added_weight) {
     if (gate.expired()) {
@@ -217,7 +240,7 @@ struct SweepContext {
       overflow = true;
       return;
     }
-    if (next.size() > 4 * options.max_states) {
+    if (next.size() > brake) {
       overflow = true;
       return;
     }
@@ -269,17 +292,23 @@ struct SweepContext {
 
 /// Enumerates placements of `starters[i..]` on top of the context's slot
 /// profile, invoking SweepContext::emit at every leaf (including "place
-/// none"). Static dispatch — no std::function on the hot path.
+/// none"). Static dispatch — no std::function on the hot path. With
+/// kPrune, a branch whose every leaf would fall below the floor is cut
+/// where it skips a starter (SweepContext::can_beat_floor); without it the
+/// enumeration does no pruning bookkeeping at all.
 ///
 /// Every height h of a starter j satisfies h + d_j <= b(j), the paper's
 /// feasibility rule on all of I_j at once, so a placed slot fits under
 /// every later edge of its span and the sweep never re-checks capacities.
+template <bool kPrune>
 struct StarterEnumerator {
   SweepContext& ctx;
   const std::vector<TaskId>& starters;
   Value min_height;
   bool grounded_only;
   Weight added_weight = 0;
+  /// Weight of starters[i..]: what the branch at depth i may still add.
+  Weight undecided_weight = 0;
 
   [[nodiscard]] bool free_span(Value h, Value demand) const {
     for (const Slot& s : ctx.slots) {
@@ -297,7 +326,24 @@ struct StarterEnumerator {
       ctx.emit(added_weight);
       return;
     }
-    run(i + 1);  // skip starters[i]
+    if constexpr (kPrune) {
+      // Skipping starters[i] gives up its weight; placing it keeps the
+      // branch's reach, which the caller already checked.
+      const Weight undecided = undecided_weight;
+      undecided_weight = undecided - ctx.inst.task(starters[i]).weight;
+      if (ctx.can_beat_floor(added_weight, undecided_weight)) {
+        run(i + 1);  // skip starters[i]
+      }
+      place_heights(i);
+      undecided_weight = undecided;
+    } else {
+      run(i + 1);  // skip starters[i]
+      place_heights(i);
+    }
+  }
+
+  /// The branches that place starters[i], one per feasible height.
+  void place_heights(std::size_t i) {
     const TaskId j = starters[i];
     const Task& t = ctx.inst.task(j);
     const Value bottleneck = ctx.inst.bottleneck(j);
@@ -413,6 +459,16 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
   ArenaScope scope(arena);
 
   const auto m = static_cast<EdgeId>(inst.num_edges());
+  if (!options.suffix_bound.empty()) {
+    if (options.suffix_bound.size() != inst.num_edges() + 1) {
+      throw std::invalid_argument("suffix_bound needs num_edges + 1 entries");
+    }
+    if (options.floor < 0 ||
+        std::ranges::any_of(options.suffix_bound,
+                            [](Weight b) { return b < 0; })) {
+      throw std::invalid_argument("negative prune floor or suffix bound");
+    }
+  }
   std::vector<std::vector<TaskId>> starters_at(inst.num_edges());
   for (TaskId j : subset) {
     // sapkit-analyze: allow(arena-discipline) -- one bounded bucket build per
@@ -429,11 +485,25 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
     out.proven_optimal = false;  // restricted height candidates: heuristic
   }
 
+  bool stopped = false;
   for (EdgeId e = 0; e < m; ++e) {
     ctx.edge = e;
     ctx.dedupe.clear(ctx.frontier.size());
     ctx.next.clear();
     ctx.overflow = false;
+    const std::vector<TaskId>& starters =
+        starters_at[static_cast<std::size_t>(e)];
+    Weight starters_weight = 0;
+    if (ctx.pruning) {
+      // Both operands are validated non-negative, so this cannot wrap.
+      const auto ahead = static_cast<std::size_t>(e) + 1;
+      ctx.prune_at = options.floor - options.suffix_bound[ahead];
+      // A subset sum of task weights: the instance constructor proved that
+      // the full sum fits in int64.
+      Int128 sum = 0;
+      for (const TaskId j : starters) sum += Int128{inst.task(j).weight};
+      starters_weight = static_cast<Weight>(sum);
+    }
 
     // Hard cap on states generated at this edge: past it, stop expanding so
     // memory stays bounded; the result degrades to a feasible lower bound.
@@ -464,11 +534,15 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
       ctx.added.clear();
       ctx.base_weight = rec.weight;
       ctx.parent = sid;
-      StarterEnumerator enumerator{ctx,
-                                   starters_at[static_cast<std::size_t>(e)],
-                                   options.min_height, options.grounded_only,
-                                   0};
-      enumerator.run(0);
+      if (!ctx.pruning) {
+        StarterEnumerator<false>{ctx, starters, options.min_height,
+                                 options.grounded_only}
+            .run(0);
+      } else if (ctx.can_beat_floor(0, starters_weight)) {
+        StarterEnumerator<true>{ctx, starters, options.min_height,
+                                options.grounded_only, 0, starters_weight}
+            .run(0);
+      }
     }
 
     if (ctx.timed_out) {
@@ -479,6 +553,14 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
       expired.peak_states = std::max(out.peak_states, ctx.next.size());
       telemetry::count("dp.timeout");
       return expired;
+    }
+    if (ctx.pruning && ctx.next.size() > options.max_states) {
+      // Prove-or-stop: this edge would truncate, so the sweep can no longer
+      // prove anything; give up before the (heuristic) rest of the sweep.
+      out.proven_optimal = false;
+      out.peak_states = std::max(out.peak_states, ctx.next.size());
+      stopped = true;
+      break;
     }
     if (ctx.overflow) out.proven_optimal = false;
     if (ctx.next.size() > options.max_states) {
@@ -512,6 +594,8 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
   telemetry::count("dp.states.expanded",
                    static_cast<std::int64_t>(ctx.states.size()));
   if (!out.proven_optimal) telemetry::count("dp.truncated");
+  if (ctx.pruning) telemetry::count("dp.pruned", ctx.pruned);
+  if (stopped) return out;
 
   std::int32_t best = -1;
   for (const std::int32_t sid : ctx.frontier) {
@@ -520,7 +604,15 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
       best = sid;
     }
   }
-  if (best < 0) return out;  // no feasible state (cannot happen: empty set)
+  // Without pruning the empty set always survives; with it, every state may
+  // have been dropped, and a completed sweep then proves the floor optimal.
+  if (ctx.pruning && out.proven_optimal &&
+      (best < 0 ||
+       ctx.states[static_cast<std::size_t>(best)].weight < options.floor)) {
+    out.weight = options.floor;
+    return out;
+  }
+  if (best < 0) return out;
   out.weight = ctx.states[static_cast<std::size_t>(best)].weight;
   for (std::int32_t sid = best; sid >= 0;
        sid = ctx.states[static_cast<std::size_t>(sid)].parent) {

@@ -12,7 +12,9 @@
 // placement is feasible on its whole span the moment it is made.
 //
 // This is the exact oracle behind the medium-task Elevator (Lemma 13) and
-// behind every measured-approximation-ratio bench.
+// behind every measured-approximation-ratio bench. The certificate ladder
+// runs it in prove-or-stop mode with a prune floor and a per-edge suffix
+// bound (see SapExactOptions and docs/ALGORITHMS.md).
 #pragma once
 
 #include <cstddef>
@@ -41,18 +43,36 @@ struct SapExactOptions {
   /// result is a typed timeout (`timed_out`, empty solution) — never a
   /// partial answer. Default: unlimited.
   Deadline deadline{};
+  /// Pruned prove-or-stop mode, active when suffix_bound is non-empty.
+  /// `floor` is at least 0 and at most OPT (the weight of a known feasible
+  /// solution); suffix_bound[k] (num_edges + 1 entries, each >= 0) bounds
+  /// the weight of any feasible set of tasks that start at edge k or later.
+  /// A state emitted at edge e whose weight plus suffix_bound[e + 1] is at
+  /// most `floor` cannot beat the floor and is dropped. At the first edge
+  /// whose frontier exceeds max_states the sweep gives up instead of
+  /// truncating: the result is unproven, with weight 0 and no solution, the
+  /// overflow brake trips at max_states (not 4 * max_states), and no later
+  /// edge is swept. A completed sweep proves max(floor, best state); when
+  /// the floor wins, the solution is empty (the caller holds the solution
+  /// that reaches it).
+  Weight floor = 0;
+  std::span<const Weight> suffix_bound{};
 };
 
 struct SapExactResult {
   SapSolution solution;
   Weight weight = 0;
-  bool proven_optimal = true;   ///< false iff the beam cap truncated states
+  bool proven_optimal = true;   ///< false iff the beam cap truncated (or
+                                ///< stopped) the sweep, or grounded_only
   bool timed_out = false;       ///< deadline expired: solution is empty
   std::size_t peak_states = 0;  ///< max live states over the sweep
 };
 
 /// Maximum-weight SAP solution over `subset` (exact unless the beam cap
-/// trips, in which case the result is still feasible and a lower bound).
+/// trips, in which case the result is still feasible and a lower bound, or
+/// empty in the pruned prove-or-stop mode).
+/// Throws std::invalid_argument on a suffix_bound of the wrong size or with
+/// a negative entry, or on a negative floor.
 [[nodiscard]] SapExactResult sap_exact_profile_dp(
     const PathInstance& inst, std::span<const TaskId> subset,
     const SapExactOptions& options = {});

@@ -5,14 +5,18 @@
 // solutions, mismatched kinds) are rejected.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <limits>
 #include <sstream>
 #include <stdexcept>
+#include <vector>
 
 #include "src/cert/certify.hpp"
 #include "src/cert/check.hpp"
 #include "src/cert/ladder.hpp"
 #include "src/core/ring_solver.hpp"
 #include "src/core/sap_solver.hpp"
+#include "src/exact/brute_force.hpp"
 #include "src/exact/profile_dp.hpp"
 #include "src/gen/generators.hpp"
 #include "src/io/instance_io.hpp"
@@ -53,6 +57,39 @@ cert::LadderOptions only_rung(cert::UbRung rung) {
   options.try_ufpp_bnb = rung == cert::UbRung::kUfppBnb;
   options.try_lp_dual = rung == cert::UbRung::kLpDual;
   return options;
+}
+
+/// The lp_dual rung's repaired prices (empty when the rung did not fire).
+cert::DualWitness lp_prices(const PathInstance& inst) {
+  return run_upper_bound_ladder(inst, only_rung(cert::UbRung::kLpDual))
+      .best.dual;
+}
+
+/// Entry i of one cell of the sapbench certify_cold corpus (corpus seed
+/// 5000): 12 edges, capacities 8..48, mixed demand.
+PathInstance certify_cold_instance(CapacityProfile profile, std::size_t n,
+                                   std::size_t i) {
+  PathGenOptions gen;
+  gen.num_edges = 12;
+  gen.num_tasks = n;
+  gen.profile = profile;
+  gen.min_capacity = 8;
+  gen.max_capacity = 48;
+  gen.demand = DemandClass::kMixed;
+  Rng rng((5000 + n) ^ i);
+  return generate_path_instance(gen, rng);
+}
+
+/// Weight of the tasks that start at edge k or later, for every k.
+std::vector<Weight> weight_suffix_sums(const PathInstance& inst) {
+  std::vector<Weight> sums(inst.num_edges() + 1, 0);
+  for (std::size_t j = 0; j < inst.num_tasks(); ++j) {
+    const Task& t = inst.task(static_cast<TaskId>(j));
+    for (std::size_t k = 0; k <= static_cast<std::size_t>(t.first); ++k) {
+      sums[k] += t.weight;
+    }
+  }
+  return sums;
 }
 
 // --- Upper-bound ladder -----------------------------------------------------
@@ -118,6 +155,169 @@ TEST(LadderTest, AttemptsRecordEveryRungTried) {
   // exactly one attempt is recorded and it proved.
   EXPECT_EQ(ladder.attempts.front().rung, cert::UbRung::kExactDp);
   EXPECT_TRUE(ladder.attempts.front().proved);
+}
+
+// An exact_dp rung that proves nothing solves the LP for its pruning; the
+// lp_dual attempt that reuses it is still recorded in rung order.
+TEST(LadderTest, AttemptsStayInRungOrder) {
+  const cert::LadderResult stopped = cert::run_upper_bound_ladder(
+      certify_cold_instance(CapacityProfile::kMountain, 24, 3));
+  ASSERT_TRUE(stopped.proven);
+  ASSERT_EQ(stopped.attempts.size(), 3u);
+  EXPECT_EQ(stopped.attempts[0].rung, cert::UbRung::kExactDp);
+  EXPECT_TRUE(stopped.attempts[0].applicable);
+  EXPECT_FALSE(stopped.attempts[0].proved);
+  EXPECT_EQ(stopped.attempts[1].rung, cert::UbRung::kUfppBnb);
+  EXPECT_FALSE(stopped.attempts[1].applicable);  // 24 tasks: over its cap
+  EXPECT_EQ(stopped.attempts[2].rung, cert::UbRung::kLpDual);
+  EXPECT_TRUE(stopped.attempts[2].proved);
+
+  // 30 tasks: past both exact rungs' task caps, so lp_dual fires.
+  PathGenOptions gen = tiny_gen();
+  gen.num_tasks = 30;
+  Rng rng(5);
+  const cert::LadderResult wide =
+      cert::run_upper_bound_ladder(generate_path_instance(gen, rng));
+  ASSERT_TRUE(wide.proven);
+  ASSERT_GE(wide.attempts.size(), 3u);
+  EXPECT_EQ(wide.attempts[0].rung, cert::UbRung::kExactDp);
+  EXPECT_FALSE(wide.attempts[0].applicable);
+  EXPECT_EQ(wide.attempts[1].rung, cert::UbRung::kUfppBnb);
+  EXPECT_FALSE(wide.attempts[1].applicable);
+  EXPECT_EQ(wide.attempts[2].rung, cert::UbRung::kLpDual);
+}
+
+// suffix_upper_bounds[k] bounds the optimum of the tasks that start at edge
+// k or later, and the dual makes it tighter than the weight sums somewhere.
+TEST(LadderTest, SuffixBoundCoversEverySuffixOptimum) {
+  int tighter = 0;
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const PathInstance inst = tiny_instance(seed);
+    const std::vector<Weight> bound =
+        cert::suffix_upper_bounds(inst, lp_prices(inst));
+    const std::vector<Weight> sums = weight_suffix_sums(inst);
+    const std::size_t m = inst.num_edges();
+    ASSERT_EQ(bound.size(), m + 1);
+    EXPECT_EQ(bound[m], 0);
+    for (std::size_t k = 0; k < m; ++k) {
+      std::vector<TaskId> suffix;
+      for (std::size_t j = 0; j < inst.num_tasks(); ++j) {
+        if (static_cast<std::size_t>(inst.task(static_cast<TaskId>(j)).first) >=
+            k) {
+          suffix.push_back(static_cast<TaskId>(j));
+        }
+      }
+      const Weight opt = sap_brute_force(inst, suffix).weight(inst);
+      EXPECT_GE(bound[k], opt) << "seed " << seed << ", k " << k;
+      EXPECT_LE(bound[k], sums[k]) << "seed " << seed << ", k " << k;
+      if (bound[k] < sums[k]) ++tighter;
+    }
+  }
+  EXPECT_GT(tighter, 0);
+}
+
+// Whatever sound floor the pruned DP is given (0, OPT - 1, or OPT, where
+// the floor itself is what gets proven), a proven value is the brute-force
+// optimum, and so is the ladder's exact_dp bound. (A floor needs only to be
+// <= OPT to be sound, so OPT - 1 may be one no solution reaches.)
+TEST(LadderTest, PrunedExactDpProvesOnlyTheBruteForceOptimum) {
+  for (std::uint64_t seed = 1; seed <= 30; ++seed) {
+    const PathInstance inst = tiny_instance(seed);
+    const Weight opt = sap_brute_force(inst).weight(inst);
+    const std::vector<Weight> bound =
+        cert::suffix_upper_bounds(inst, lp_prices(inst));
+    for (const Weight floor : {Weight{0}, std::max<Weight>(opt - 1, 0), opt}) {
+      const SapExactResult r = sap_exact_profile_dp(
+          inst, {.max_states = 100'000, .floor = floor, .suffix_bound = bound});
+      ASSERT_TRUE(r.proven_optimal) << "seed " << seed << ", floor " << floor;
+      EXPECT_EQ(r.weight, opt) << "seed " << seed << ", floor " << floor;
+      if (!r.solution.empty()) {
+        EXPECT_TRUE(verify_sap(inst, r.solution));
+        EXPECT_EQ(r.solution.weight(inst), opt);
+      }
+    }
+    const cert::LadderResult ladder = cert::run_upper_bound_ladder(inst);
+    ASSERT_EQ(ladder.best.rung, cert::UbRung::kExactDp) << "seed " << seed;
+    EXPECT_EQ(ladder.best.value, opt) << "seed " << seed;
+  }
+}
+
+// Capacities of 2^62 and weights up to 2^62: the suffix bound's 128-bit
+// arithmetic stays exact, hostile prices that overflow it fall back to the
+// weight sums, and the pruned DP still proves the optimum, which a twin with
+// every 2^62 scaled down to 64 gives by brute force (only differences from
+// the capacity matter, and no task fits beside the near-full ones).
+TEST(LadderTest, SuffixBoundSurvivesHugeWeightsAndCapacities) {
+  constexpr Weight kSmall = Weight{1} << 58;
+  const auto instance = [](Value cap) {
+    return PathInstance({cap, cap, cap, 6, cap, cap},
+                        {Task{0, 3, 3, kSmall + 1}, Task{2, 4, 2, kSmall + 2},
+                         Task{3, 5, 1, kSmall + 3}, Task{3, 3, 1, kSmall + 4},
+                         Task{0, 2, cap - 1, Weight{1} << 62},
+                         Task{4, 5, cap - 16, kSmall + 5}});
+  };
+  const PathInstance twin = instance(64);
+  const PathInstance huge = instance(Value{1} << 62);
+  const Weight opt = sap_brute_force(twin).weight(twin);
+
+  // Five edges of c_e * y_e ~ 2^125 each: the dual sum overflows 128 bits.
+  cert::DualWitness hostile;
+  hostile.scale = 1;
+  hostile.edge_price.assign(huge.num_edges(),
+                            std::numeric_limits<std::int64_t>::max());
+  const std::vector<Weight> fallback =
+      cert::suffix_upper_bounds(huge, hostile);
+  EXPECT_EQ(fallback, weight_suffix_sums(huge));
+
+  for (const std::vector<Weight>& bound :
+       {cert::suffix_upper_bounds(huge, lp_prices(huge)), fallback}) {
+    const SapExactResult r =
+        sap_exact_profile_dp(huge, {.suffix_bound = bound});
+    ASSERT_TRUE(r.proven_optimal);
+    EXPECT_EQ(r.weight, opt);
+  }
+}
+
+// The six sapbench certify_cold entries whose exact_dp attempt used to
+// overflow its 100k-state beam. Pruning now proves two of them; the other
+// four still stop at a truncated edge and fall through to lp_dual.
+TEST(LadderTest, PinsTheBeamOverflowingCertifyColdCases) {
+  struct Row {
+    CapacityProfile profile;
+    std::size_t n;
+    std::size_t i;
+    cert::UbRung rung;
+    Weight ub;
+  };
+  const Row rows[] = {
+      {CapacityProfile::kUniform, 24, 3, cert::UbRung::kLpDual, 735},
+      {CapacityProfile::kMountain, 12, 0, cert::UbRung::kExactDp, 435},
+      {CapacityProfile::kMountain, 24, 2, cert::UbRung::kExactDp, 703},
+      {CapacityProfile::kMountain, 24, 3, cert::UbRung::kLpDual, 844},
+      {CapacityProfile::kStaircase, 24, 3, cert::UbRung::kLpDual, 779},
+      {CapacityProfile::kRandomWalk, 24, 3, cert::UbRung::kLpDual, 757},
+  };
+  for (const Row& row : rows) {
+    const PathInstance inst = certify_cold_instance(row.profile, row.n, row.i);
+    const cert::LadderResult ladder = cert::run_upper_bound_ladder(inst);
+    ASSERT_TRUE(ladder.proven);
+    EXPECT_EQ(ladder.best.rung, row.rung)
+        << "n " << row.n << ", i " << row.i << ": "
+        << cert::ub_rung_name(ladder.best.rung);
+    EXPECT_EQ(ladder.best.value, row.ub) << "n " << row.n << ", i " << row.i;
+  }
+}
+
+// The new 703 proof, cross-checked by a sweep that prunes nothing and whose
+// beam is wide enough (its widest edge holds 129129 states).
+TEST(LadderTest, MountainN24ProofMatchesAnUnprunedSweep) {
+  const PathInstance inst =
+      certify_cold_instance(CapacityProfile::kMountain, 24, 2);
+  const SapExactResult unpruned =
+      sap_exact_profile_dp(inst, {.max_states = 200'000});
+  ASSERT_TRUE(unpruned.proven_optimal);
+  EXPECT_EQ(unpruned.weight, 703);
+  EXPECT_EQ(unpruned.peak_states, 129'129u);
 }
 
 TEST(LadderTest, RingLadderBoundsTheRingSolver) {

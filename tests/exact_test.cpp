@@ -11,9 +11,20 @@
 #include "src/gen/generators.hpp"
 #include "src/model/verify.hpp"
 #include "src/ufpp/branch_and_bound.hpp"
+#include "src/util/telemetry.hpp"
 
 namespace sap {
 namespace {
+
+/// A suffix bound that prunes nothing: every entry is the instance's total
+/// weight. It turns on the profile DP's pruned prove-or-stop mode.
+std::vector<Weight> loose_suffix_bound(const PathInstance& inst) {
+  Weight total = 0;
+  for (std::size_t j = 0; j < inst.num_tasks(); ++j) {
+    total += inst.task(static_cast<TaskId>(j)).weight;
+  }
+  return std::vector<Weight>(inst.num_edges() + 1, total);
+}
 
 TEST(BruteForceTest, SingleTask) {
   const PathInstance inst({4}, {Task{0, 0, 2, 7}});
@@ -201,6 +212,106 @@ TEST(ProfileDpTest, BeamCapTruncatesButStaysFeasible) {
   EXPECT_TRUE(verify_sap(inst, r.solution));
   const SapExactResult full = sap_exact_profile_dp(inst);
   EXPECT_LE(r.weight, full.weight);
+}
+
+// Prove-or-stop (the pruned mode, here with a bound that prunes nothing)
+// gives up at the first edge that would truncate: nothing is proven,
+// nothing is rebuilt, and no later edge is swept.
+TEST(ProfileDpTest, ProveOrStopGivesUpAtTheFirstTruncatedEdge) {
+  Rng rng(107);
+  PathGenOptions opt;
+  opt.num_edges = 5;
+  opt.num_tasks = 10;
+  opt.min_capacity = 6;
+  opt.max_capacity = 12;
+  const PathInstance inst = generate_path_instance(opt, rng);
+  TelemetryReport truncating_work;
+  TelemetryReport stopping_work;
+  SapExactResult truncating;
+  SapExactResult stopped;
+  const std::vector<Weight> loose = loose_suffix_bound(inst);
+  {
+    const TelemetrySession session(&truncating_work);
+    truncating = sap_exact_profile_dp(inst, {.max_states = 8});
+  }
+  {
+    const TelemetrySession session(&stopping_work);
+    stopped =
+        sap_exact_profile_dp(inst, {.max_states = 8, .suffix_bound = loose});
+  }
+  ASSERT_FALSE(truncating.proven_optimal);  // the beam does truncate
+  EXPECT_FALSE(stopped.proven_optimal);
+  EXPECT_FALSE(stopped.timed_out);
+  EXPECT_EQ(stopped.weight, 0);
+  EXPECT_TRUE(stopped.solution.empty());
+  EXPECT_LT(stopping_work.count("dp.states.expanded"),
+            truncating_work.count("dp.states.expanded"));
+  EXPECT_EQ(stopping_work.count("dp.truncated"), 1);
+}
+
+// With a beam that never overflows, prove-or-stop is the plain sweep.
+TEST(ProfileDpTest, ProveOrStopMatchesTheFullSweepInsideTheBeam) {
+  Rng rng(109);
+  for (int trial = 0; trial < 20; ++trial) {
+    PathGenOptions opt;
+    opt.num_edges = static_cast<std::size_t>(rng.uniform_int(2, 7));
+    opt.num_tasks = static_cast<std::size_t>(rng.uniform_int(1, 9));
+    opt.min_capacity = 2;
+    opt.max_capacity = 10;
+    const PathInstance inst = generate_path_instance(opt, rng);
+    const SapExactResult full = sap_exact_profile_dp(inst);
+    const std::vector<Weight> loose = loose_suffix_bound(inst);
+    const SapExactResult stop =
+        sap_exact_profile_dp(inst, {.suffix_bound = loose});
+    ASSERT_TRUE(full.proven_optimal);
+    EXPECT_TRUE(stop.proven_optimal) << "trial " << trial;
+    EXPECT_EQ(stop.weight, full.weight) << "trial " << trial;
+    EXPECT_EQ(stop.solution.placements, full.solution.placements)
+        << "trial " << trial;
+  }
+}
+
+// Two tasks that each fill both edges: OPT = 9. With a tight suffix bound
+// and the floor at OPT every state is pruned, and the completed sweep proves
+// the floor; one below OPT, the optimal state survives and is rebuilt.
+TEST(ProfileDpTest, FloorAtTheOptimumPrunesEveryStateAndIsProved) {
+  const PathInstance inst({4, 4}, {Task{0, 1, 4, 3}, Task{0, 1, 4, 9}});
+  const std::vector<Weight> suffix{12, 0, 0};
+  TelemetryReport work;
+  SapExactResult at_opt;
+  {
+    const TelemetrySession session(&work);
+    at_opt =
+        sap_exact_profile_dp(inst, {.floor = 9, .suffix_bound = suffix});
+  }
+  EXPECT_TRUE(at_opt.proven_optimal);
+  EXPECT_EQ(at_opt.weight, 9);
+  EXPECT_TRUE(at_opt.solution.empty());  // the caller holds the floor's
+  // Two cut branches cover every state: "skip task 0" reaches at most 9,
+  // and "task 0 without task 1" at most 3.
+  EXPECT_EQ(work.count("dp.pruned"), 2);
+  EXPECT_EQ(work.count("dp.states.expanded"), 1);  // the start state only
+
+  const SapExactResult below =
+      sap_exact_profile_dp(inst, {.floor = 8, .suffix_bound = suffix});
+  EXPECT_TRUE(below.proven_optimal);
+  EXPECT_EQ(below.weight, 9);
+  EXPECT_TRUE(verify_sap(inst, below.solution));
+  EXPECT_EQ(below.solution.weight(inst), 9);
+}
+
+TEST(ProfileDpTest, RejectsMalformedPruningInputs) {
+  const PathInstance inst({4, 4}, {Task{0, 1, 4, 3}});
+  const std::vector<Weight> short_bound{3, 0};
+  const std::vector<Weight> negative_bound{3, -1, 0};
+  const std::vector<Weight> good_bound{3, 0, 0};
+  const auto run = [&](const SapExactOptions& options) {
+    return sap_exact_profile_dp(inst, options);
+  };
+  EXPECT_THROW(run({.suffix_bound = short_bound}), std::invalid_argument);
+  EXPECT_THROW(run({.suffix_bound = negative_bound}), std::invalid_argument);
+  EXPECT_THROW(run({.floor = -1, .suffix_bound = good_bound}),
+               std::invalid_argument);
 }
 
 TEST(UfppProfileDpTest, CrossValidatesBranchAndBound) {

@@ -23,11 +23,13 @@
 #include "src/cert/certify.hpp"
 #include "src/core/ring_solver.hpp"
 #include "src/core/sap_solver.hpp"
+#include "src/exact/brute_force.hpp"
 #include "src/gen/generators.hpp"
 #include "src/gen/hardness.hpp"
 #include "src/gen/paper_instances.hpp"
 #include "src/harness/batch_runner.hpp"
 #include "src/io/instance_io.hpp"
+#include "src/ufpp/branch_and_bound.hpp"
 #include "src/util/telemetry.hpp"
 
 #ifndef SAPKIT_GOLDEN_DIR
@@ -285,6 +287,28 @@ TEST(GoldenCorpusTest, PathCasesAreByteIdentical) {
   for (const GoldenCase& c : build_path_corpus()) {
     check_against_fixture(c.name, render_path_case(c));
   }
+}
+
+// e6_mountain_n12's certificate moved from ufpp_bnb to exact_dp once the
+// ladder's DP learned to prune (its unpruned sweep needs 104418 states at
+// the widest edge, over the 100k beam). The re-blessed fixture is only
+// trusted because two independent oracles agree on the bound it records.
+TEST(GoldenCorpusTest, MountainN12ExactDpBoundMatchesTheOracles) {
+  for (const GoldenCase& c : build_path_corpus()) {
+    if (c.name != "e6_mountain_n12") continue;
+    const SapSolution sol = solve_sap(c.instance, c.params);
+    const cert::CertifyOutcome outcome = cert::certify_solution(c.instance, sol);
+    ASSERT_TRUE(outcome.certified);
+    EXPECT_EQ(outcome.cert.ub.rung, cert::UbRung::kExactDp);
+    EXPECT_EQ(outcome.cert.ub.value, 435);
+    EXPECT_EQ(sap_brute_force(c.instance).weight(c.instance),
+              outcome.cert.ub.value);
+    const UfppExactResult ufpp = ufpp_exact(c.instance);
+    ASSERT_TRUE(ufpp.proven_optimal);
+    EXPECT_EQ(ufpp.weight, outcome.cert.ub.value);
+    return;
+  }
+  FAIL() << "e6_mountain_n12 is not in the corpus";
 }
 
 // A deterministic work ceiling on the one hot loop: the profile DP states
