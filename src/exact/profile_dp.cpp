@@ -23,7 +23,9 @@ namespace sap {
 namespace {
 
 /// One selected task alive at the current edge. Identity is reduced to what
-/// future feasibility needs: vertical extent and remaining lifetime.
+/// future feasibility needs: vertical extent and remaining lifetime. The
+/// lifetime ends at the last start edge of the task's span (see
+/// SweepContext::prev_start), not at the task's own last edge.
 struct Slot {
   Value height;
   Value demand;
@@ -172,6 +174,11 @@ struct SweepContext {
   FlatBuf<std::int32_t> frontier;
   FlatBuf<std::int32_t> next;
   DedupeTable dedupe;
+  // prev_start[x]: the latest edge <= x at which a task of the subset starts
+  // (-1 before the first). A slot lives until prev_start[its last edge]:
+  // every later starter it overlaps starts by then, and past it the slot
+  // blocks nothing, so partial solutions that differ only beyond it merge.
+  FlatBuf<EdgeId> prev_start;
 
   // Per-state scratch, reused: the alive-slot profile (sorted by height,
   // mutated by the enumeration DFS) and the placements added at this edge.
@@ -197,6 +204,7 @@ struct SweepContext {
   bool pruning;
   Weight prune_at = 0;
   std::int64_t pruned = 0;  ///< enumeration branches cut below the floor
+  std::int64_t emits = 0;   ///< leaves offered to the dedupe table
   // The overflow brake: emits stop once `next` holds more than this many
   // states. Prove-or-stop gives up at max_states anyway, so it brakes there.
   std::size_t brake;
@@ -217,6 +225,7 @@ struct SweepContext {
         frontier(arena),
         next(arena),
         dedupe(arena),
+        prev_start(arena),
         gate(options_.deadline),
         pruning(!options_.suffix_bound.empty()),
         brake(pruning ? options_.max_states : 4 * options_.max_states) {}
@@ -244,6 +253,7 @@ struct SweepContext {
       overflow = true;
       return;
     }
+    ++emits;
     // sapkit-lint: allow(exact-arith) -- weights of disjoint task sets;
     // their sum is a subset sum, proven to fit in int64 at construction.
     const Weight total = base_weight + added_weight;
@@ -415,7 +425,8 @@ struct StarterEnumerator {
   }
 
   void place(std::size_t i, TaskId j, const Task& t, Value h) {
-    const Slot slot{h, t.demand, t.last};
+    const Slot slot{h, t.demand,
+                    ctx.prev_start[static_cast<std::size_t>(t.last)]};
     const auto pos = std::lower_bound(
         ctx.slots.begin(), ctx.slots.end(), slot,
         [](const Slot& a, const Slot& b) { return a.height < b.height; });
@@ -424,8 +435,9 @@ struct StarterEnumerator {
     // SweepContext); capacity persists across states and edges, so growth
     // amortizes to zero on warm solves.
     ctx.slots.insert(pos, slot);
-    // A starter that also ends at this edge blocks later starters here but
-    // never reaches the crossing profile.
+    // A starter whose lifetime ends at this edge (no task of the subset
+    // starts later in its span) blocks later starters here but never reaches
+    // the crossing profile.
     const bool crossing = slot.last != ctx.edge;
     const SlotDigest digest = crossing ? slot_digest(slot) : SlotDigest{0, 0};
     ctx.key_sum += digest.key;
@@ -477,6 +489,12 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
   }
 
   SweepContext ctx(inst, options, arena);
+  ctx.prev_start.resize(inst.num_edges());
+  EdgeId last_start = -1;
+  for (EdgeId e = 0; e < m; ++e) {
+    if (!starters_at[static_cast<std::size_t>(e)].empty()) last_start = e;
+    ctx.prev_start[static_cast<std::size_t>(e)] = last_start;
+  }
   ctx.states.push_back(StateRec{});  // empty start state
   ctx.frontier.push_back(0);
   SapExactResult out;
@@ -487,17 +505,32 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
 
   bool stopped = false;
   for (EdgeId e = 0; e < m; ++e) {
-    ctx.edge = e;
-    ctx.dedupe.clear(ctx.frontier.size());
-    ctx.next.clear();
-    ctx.overflow = false;
     const std::vector<TaskId>& starters =
         starters_at[static_cast<std::size_t>(e)];
-    Weight starters_weight = 0;
     if (ctx.pruning) {
       // Both operands are validated non-negative, so this cannot wrap.
       const auto ahead = static_cast<std::size_t>(e) + 1;
       ctx.prune_at = options.floor - options.suffix_bound[ahead];
+    }
+    if (starters.empty()) {
+      // No slot's lifetime ends at an edge where nothing starts, so every
+      // state would map to itself; only the prune floor may still drop some.
+      if (ctx.pruning) {
+        std::size_t kept = 0;
+        for (const std::int32_t sid : ctx.frontier) {
+          ctx.base_weight = ctx.states[static_cast<std::size_t>(sid)].weight;
+          if (ctx.can_beat_floor(0, 0)) ctx.frontier[kept++] = sid;
+        }
+        ctx.frontier.resize(kept);
+      }
+      continue;
+    }
+    ctx.edge = e;
+    ctx.dedupe.clear(ctx.frontier.size());
+    ctx.next.clear();
+    ctx.overflow = false;
+    Weight starters_weight = 0;
+    if (ctx.pruning) {
       // A subset sum of task weights: the instance constructor proved that
       // the full sum fits in int64.
       Int128 sum = 0;
@@ -589,10 +622,11 @@ SapExactResult sap_exact_profile_dp(const PathInstance& inst,
   }
 
   telemetry::count("dp.runs");
-  telemetry::count("dp.states.peak",
-                   static_cast<std::int64_t>(out.peak_states));
+  telemetry::peak("dp.states.peak",
+                  static_cast<std::int64_t>(out.peak_states));
   telemetry::count("dp.states.expanded",
                    static_cast<std::int64_t>(ctx.states.size()));
+  telemetry::count("dp.emits", ctx.emits);
   if (!out.proven_optimal) telemetry::count("dp.truncated");
   if (ctx.pruning) telemetry::count("dp.pruned", ctx.pruned);
   if (stopped) return out;

@@ -3,13 +3,18 @@
 // integer capacity K) and of the paper's Lemma 13 DP.
 //
 // A state after edge e is the canonical multiset of (height, demand,
-// last-edge) slots of the selected tasks that cross into e + 1; integral
+// lifetime) slots of the selected tasks that cross into e + 1; integral
 // heights are WLOG for integral demands (gravity, Observation 11). States are
 // merged by this crossing profile (task identity beyond (height, demand,
-// last) is irrelevant to future feasibility, and a task ending at e is
-// irrelevant from e + 1 on), keeping the maximum accumulated weight. Every
-// height h of a task j satisfies h + d_j <= b(j), its bottleneck, so a
-// placement is feasible on its whole span the moment it is made.
+// lifetime) is irrelevant to future feasibility, and a slot whose lifetime
+// ends at e is irrelevant from e + 1 on), keeping the maximum accumulated
+// weight. Every height h of a task j satisfies h + d_j <= b(j), its
+// bottleneck, so a placement is feasible on its whole span the moment it is
+// made. That is also why a slot's lifetime is cut to the last edge of its
+// span at which a task of the subset starts: every overlap is checked where
+// the later task starts, so past that edge the slot blocks nothing, and
+// partial solutions that differ only there merge. Edges where no task starts
+// are skipped.
 //
 // This is the exact oracle behind the medium-task Elevator (Lemma 13) and
 // behind every measured-approximation-ratio bench. The certificate ladder

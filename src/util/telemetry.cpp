@@ -1,5 +1,6 @@
 #include "src/util/telemetry.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <ostream>
 
@@ -48,6 +49,16 @@ void TelemetryReport::add_count(std::string_view name, std::int64_t delta) {
   }
 }
 
+void TelemetryReport::add_peak(std::string_view name, std::int64_t value) {
+  auto it = counters_.find(name);
+  if (it == counters_.end()) {
+    counters_.emplace(std::string(name), value);
+    peaks_.emplace(name);
+  } else {
+    it->second = std::max(it->second, value);
+  }
+}
+
 void TelemetryReport::add_time(std::string_view name, std::int64_t entries,
                                double seconds) {
   auto it = timers_.find(name);
@@ -60,7 +71,13 @@ void TelemetryReport::add_time(std::string_view name, std::int64_t entries,
 }
 
 void TelemetryReport::merge(const TelemetryReport& other) {
-  for (const auto& [name, value] : other.counters_) add_count(name, value);
+  for (const auto& [name, value] : other.counters_) {
+    if (other.peaks_.contains(name)) {
+      add_peak(name, value);
+    } else {
+      add_count(name, value);
+    }
+  }
   for (const auto& [name, stat] : other.timers_) {
     add_time(name, stat.count, stat.seconds);
   }
@@ -69,6 +86,7 @@ void TelemetryReport::merge(const TelemetryReport& other) {
 void TelemetryReport::drop_counters_with_prefix(std::string_view prefix) {
   for (auto it = counters_.lower_bound(prefix); it != counters_.end();) {
     if (std::string_view(it->first).substr(0, prefix.size()) != prefix) break;
+    peaks_.erase(it->first);
     it = counters_.erase(it);
   }
 }
@@ -85,6 +103,7 @@ TimerStat TelemetryReport::timer(std::string_view name) const {
 
 void TelemetryReport::clear() {
   counters_.clear();
+  peaks_.clear();
   timers_.clear();
 }
 
@@ -137,6 +156,10 @@ TelemetryReport* sink() noexcept { return g_sink; }
 
 void count(std::string_view name, std::int64_t delta) {
   if (g_sink != nullptr) g_sink->add_count(name, delta);
+}
+
+void peak(std::string_view name, std::int64_t value) {
+  if (g_sink != nullptr) g_sink->add_peak(name, value);
 }
 
 }  // namespace telemetry

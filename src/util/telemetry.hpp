@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <iosfwd>
 #include <map>
+#include <set>
 #include <string>
 #include <string_view>
 
@@ -44,9 +45,14 @@ struct TimerStat {
 class TelemetryReport {
  public:
   void add_count(std::string_view name, std::int64_t delta);
+  /// Raises the named counter to `value` if that is larger, and marks it a
+  /// peak: merge() then keeps the larger of two peaks instead of adding
+  /// them. A name is used either as a sum or as a peak, never both.
+  void add_peak(std::string_view name, std::int64_t value);
   void add_time(std::string_view name, std::int64_t entries, double seconds);
 
-  /// Adds every counter and timer of `other` into this report.
+  /// Adds every counter and timer of `other` into this report; peaks
+  /// (add_peak) keep the maximum.
   void merge(const TelemetryReport& other);
 
   /// Removes every counter whose name starts with `prefix`. The batch
@@ -82,6 +88,7 @@ class TelemetryReport {
 
  private:
   std::map<std::string, std::int64_t, std::less<>> counters_;
+  std::set<std::string, std::less<>> peaks_;  ///< counters that merge by max
   std::map<std::string, TimerStat, std::less<>> timers_;
 };
 
@@ -96,6 +103,10 @@ namespace telemetry {
 /// Adds `delta` to the named counter of the active sink; no-op when
 /// collection is off.
 void count(std::string_view name, std::int64_t delta = 1);
+
+/// Raises the named peak counter of the active sink to `value` (see
+/// TelemetryReport::add_peak); no-op when collection is off.
+void peak(std::string_view name, std::int64_t value);
 
 }  // namespace telemetry
 

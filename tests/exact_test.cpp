@@ -2,6 +2,7 @@
 // the obviously-correct brute force on every random tiny instance.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <numeric>
 #include <vector>
 
@@ -24,6 +25,21 @@ std::vector<Weight> loose_suffix_bound(const PathInstance& inst) {
     total += inst.task(static_cast<TaskId>(j)).weight;
   }
   return std::vector<Weight>(inst.num_edges() + 1, total);
+}
+
+/// The Elevator's mode as a plain instance: placing every task at height
+/// >= f under c_e is the same problem as placing it at height >= 0 under
+/// c_e - f. Tasks that no longer fit under their lowered bottleneck drop out.
+PathInstance lowered_instance(const PathInstance& inst, Value f) {
+  std::vector<Value> lowered_caps = inst.capacities();
+  for (Value& c : lowered_caps) c -= f;
+  std::vector<Task> fitting;
+  for (TaskId j = 0; j < static_cast<TaskId>(inst.num_tasks()); ++j) {
+    if (inst.task(j).demand + f <= inst.bottleneck(j)) {
+      fitting.push_back(inst.task(j));
+    }
+  }
+  return PathInstance(lowered_caps, fitting);
 }
 
 TEST(BruteForceTest, SingleTask) {
@@ -106,9 +122,6 @@ TEST(ProfileDpTest, MatchesBruteForceOnRandomTinyInstances) {
 }
 
 TEST(ProfileDpTest, HeightFloorMatchesBruteForceOnLoweredCapacities) {
-  // The Elevator's mode: placing every task at height >= f under c_e is the
-  // same problem as placing it at height >= 0 under c_e - f. Tasks that no
-  // longer fit under their lowered bottleneck drop out of the reference.
   Rng rng(109);
   for (int trial = 0; trial < 40; ++trial) {
     PathGenOptions opt;
@@ -119,16 +132,7 @@ TEST(ProfileDpTest, HeightFloorMatchesBruteForceOnLoweredCapacities) {
     opt.max_capacity = 10;
     const PathInstance inst = generate_path_instance(opt, rng);
     const Value floor = rng.uniform_int(1, 3);
-
-    std::vector<Value> lowered_caps = inst.capacities();
-    for (Value& c : lowered_caps) c -= floor;
-    std::vector<Task> fitting;
-    for (TaskId j = 0; j < static_cast<TaskId>(inst.num_tasks()); ++j) {
-      if (inst.task(j).demand + floor <= inst.bottleneck(j)) {
-        fitting.push_back(inst.task(j));
-      }
-    }
-    const PathInstance lowered(lowered_caps, fitting);
+    const PathInstance lowered = lowered_instance(inst, floor);
     const SapSolution brute = sap_brute_force(lowered);
 
     SapExactOptions floored;
@@ -348,6 +352,154 @@ TEST(UfppProfileDpTest, BeamCapDegradesGracefully) {
   EXPECT_TRUE(verify_ufpp(inst, r.solution));
   const UfppProfileDpResult full = ufpp_exact_profile_dp(inst);
   EXPECT_LE(r.weight, full.weight);
+}
+
+/// A random tiny instance whose tasks start at only one to three edges, so
+/// most edges start nothing and most tasks outlive the last start edge of
+/// their span: the shape on which start-edge lifetimes merge the most.
+/// Capacities are at least 3, so a height floor of 1 or 2 leaves room.
+PathInstance sparse_start_instance(Rng& rng) {
+  const auto m = static_cast<EdgeId>(rng.uniform_int(4, 8));
+  std::vector<Value> caps(static_cast<std::size_t>(m));
+  for (Value& c : caps) c = rng.uniform_int(3, 8);
+  std::vector<EdgeId> starts;
+  const std::int64_t num_starts = rng.uniform_int(1, 3);
+  for (std::int64_t k = 0; k < num_starts; ++k) {
+    starts.push_back(static_cast<EdgeId>(rng.uniform_int(0, m - 2)));
+  }
+  std::vector<Task> tasks;
+  const std::int64_t n = rng.uniform_int(3, 8);
+  for (std::int64_t k = 0; k < n; ++k) {
+    Task t;
+    t.first = starts[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(starts.size()) - 1))];
+    t.last = static_cast<EdgeId>(rng.uniform_int(t.first, m - 1));
+    const Value bottleneck =
+        *std::min_element(caps.begin() + t.first, caps.begin() + t.last + 1);
+    t.demand = rng.uniform_int(1, bottleneck);
+    t.weight = rng.uniform_int(1, 10);
+    tasks.push_back(t);
+  }
+  return PathInstance(caps, tasks);
+}
+
+/// bound[k]: the weight of the tasks that start at edge k or later, a valid
+/// (if loose) suffix bound for the pruned mode.
+std::vector<Weight> weight_suffix_bound(const PathInstance& inst) {
+  std::vector<Weight> bound(inst.num_edges() + 1, 0);
+  for (std::size_t j = 0; j < inst.num_tasks(); ++j) {
+    const Task& t = inst.task(static_cast<TaskId>(j));
+    bound[static_cast<std::size_t>(t.first)] += t.weight;
+  }
+  for (std::size_t k = inst.num_edges(); k-- > 0;) bound[k] += bound[k + 1];
+  return bound;
+}
+
+// Slots live only until the last start edge of their span, and edges where
+// nothing starts are skipped. Both are exact: cross-check every mode that
+// the medium stage and the ladder use against the brute force.
+TEST(ProfileDpTest, StartEdgeLifetimesMatchBruteForceOnSparseStarts) {
+  Rng rng(211);
+  for (int trial = 0; trial < 60; ++trial) {
+    SCOPED_TRACE(trial);
+    const PathInstance inst = sparse_start_instance(rng);
+    const Weight opt = sap_brute_force(inst).weight(inst);
+
+    const SapExactResult plain = sap_exact_profile_dp(inst);
+    ASSERT_TRUE(plain.proven_optimal);
+    ASSERT_TRUE(verify_sap(inst, plain.solution))
+        << verify_sap(inst, plain.solution).reason;
+    EXPECT_EQ(plain.weight, opt);
+    EXPECT_EQ(plain.solution.weight(inst), plain.weight);
+
+    // A random subset: lifetimes follow the subset's start edges only.
+    std::vector<TaskId> subset;
+    for (TaskId j = 0; j < static_cast<TaskId>(inst.num_tasks()); ++j) {
+      if (rng.bernoulli(0.6)) subset.push_back(j);
+    }
+    const SapExactResult part = sap_exact_profile_dp(inst, subset, {});
+    ASSERT_TRUE(part.proven_optimal);
+    ASSERT_TRUE(verify_sap(inst, part.solution));
+    EXPECT_EQ(part.weight, sap_brute_force(inst, subset).weight(inst));
+
+    // Pruned prove-or-stop: a truncating pass's floor, the weight suffix
+    // bound. A completed sweep proves OPT; the solution is empty only when
+    // the floor already reaches it.
+    const SapExactResult floor_pass =
+        sap_exact_profile_dp(inst, {.max_states = 2});
+    const std::vector<Weight> suffix = weight_suffix_bound(inst);
+    const SapExactResult pruned = sap_exact_profile_dp(
+        inst, {.floor = floor_pass.weight, .suffix_bound = suffix});
+    ASSERT_TRUE(pruned.proven_optimal);
+    EXPECT_EQ(pruned.weight, opt);
+    ASSERT_TRUE(verify_sap(inst, pruned.solution));
+    if (!pruned.solution.empty()) {
+      EXPECT_EQ(pruned.solution.weight(inst), opt);
+    } else {
+      EXPECT_EQ(floor_pass.weight, opt);
+    }
+
+    // The Elevator's mode, against the brute force on lowered capacities.
+    const Value f = rng.uniform_int(1, 2);
+    const PathInstance lowered = lowered_instance(inst, f);
+    const SapExactResult floored =
+        sap_exact_profile_dp(inst, {.min_height = f});
+    ASSERT_TRUE(floored.proven_optimal);
+    ASSERT_TRUE(verify_sap(inst, floored.solution));
+    for (const Placement& p : floored.solution.placements) {
+      EXPECT_GE(p.height, f);
+    }
+    EXPECT_EQ(floored.weight, sap_brute_force(lowered).weight(lowered));
+  }
+}
+
+// Capacity 2 on four edges; tasks start only at edges 0 and 1. A = [0, 2]
+// and B = [0, 3] both outlive edge 1, the last start edge, so "A at height
+// 0" and "B at height 0" leave the same crossing profile and merge (keeping
+// B, the heavier). With true lifetimes they would be two states.
+TEST(ProfileDpTest, LifetimesPastTheLastStartEdgeMerge) {
+  const PathInstance inst({2, 2, 2, 2}, {Task{0, 2, 1, 2}, Task{0, 3, 1, 3},
+                                         Task{1, 1, 1, 1}});
+  TelemetryReport work;
+  SapExactResult r;
+  {
+    const TelemetrySession session(&work);
+    r = sap_exact_profile_dp(inst);
+  }
+  EXPECT_TRUE(r.proven_optimal);
+  EXPECT_EQ(r.weight, 5);  // A and B stacked; C has no room left
+  EXPECT_TRUE(verify_sap(inst, r.solution));
+  // Edge 0 emits 7 leaves (none, B0, B1, A0, A0+B1, A1, A1+B0) into 4
+  // states: {}, {0}, {1}, {0, 1}. At edge 1 every slot's lifetime ends, so
+  // its 8 leaves make one state. Edges 2 and 3 start nothing and are skipped.
+  EXPECT_EQ(work.count("dp.states.expanded"), 1 + 4 + 1);
+  EXPECT_EQ(work.count("dp.emits"), 7 + 8);
+  EXPECT_EQ(work.count("dp.states.peak"), 4);
+}
+
+// dp.states.peak is the largest frontier of any run in the session, not a
+// sum over runs.
+TEST(ProfileDpTest, StatesPeakIsTheMaximumOverRuns) {
+  Rng rng(223);
+  PathGenOptions opt;
+  opt.num_edges = 6;
+  opt.num_tasks = 8;
+  opt.min_capacity = 4;
+  opt.max_capacity = 10;
+  const PathInstance a = generate_path_instance(opt, rng);
+  const PathInstance b = generate_path_instance(opt, rng);
+  TelemetryReport work;
+  SapExactResult ra;
+  SapExactResult rb;
+  {
+    const TelemetrySession session(&work);
+    ra = sap_exact_profile_dp(a);
+    rb = sap_exact_profile_dp(b);
+  }
+  EXPECT_EQ(work.count("dp.runs"), 2);
+  EXPECT_EQ(work.count("dp.states.peak"),
+            static_cast<std::int64_t>(std::max(ra.peak_states,
+                                               rb.peak_states)));
 }
 
 TEST(ProfileDpTest, SubsetRestriction) {

@@ -17,6 +17,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -29,6 +30,7 @@
 #include "src/gen/paper_instances.hpp"
 #include "src/harness/batch_runner.hpp"
 #include "src/io/instance_io.hpp"
+#include "src/model/verify.hpp"
 #include "src/ufpp/branch_and_bound.hpp"
 #include "src/util/telemetry.hpp"
 
@@ -289,26 +291,56 @@ TEST(GoldenCorpusTest, PathCasesAreByteIdentical) {
   }
 }
 
+/// The instance of the corpus case `name` (one with default solver params).
+PathInstance corpus_instance(const std::string& name) {
+  for (GoldenCase& c : build_path_corpus()) {
+    if (c.name == name) return std::move(c.instance);
+  }
+  throw std::logic_error(name + " is not in the corpus");
+}
+
+/// Re-solves a fixture case, checks that its solution is feasible and that
+/// its certificate is an exact_dp bound of `ub` which the brute force
+/// reaches. Returns the instance for further oracle checks.
+PathInstance expect_exact_dp_bound_matches_brute_force(const std::string& name,
+                                                       Weight ub) {
+  SCOPED_TRACE(name);
+  PathInstance inst = corpus_instance(name);
+  const SapSolution sol = solve_sap(inst);
+  const VerifyResult feasible = verify_sap(inst, sol);
+  EXPECT_TRUE(feasible) << feasible.reason;
+  const cert::CertifyOutcome outcome = cert::certify_solution(inst, sol);
+  EXPECT_TRUE(outcome.certified);
+  EXPECT_EQ(outcome.cert.ub.rung, cert::UbRung::kExactDp);
+  EXPECT_EQ(outcome.cert.ub.value, ub);
+  EXPECT_EQ(sap_brute_force(inst).weight(inst), ub);
+  return inst;
+}
+
 // e6_mountain_n12's certificate moved from ufpp_bnb to exact_dp once the
 // ladder's DP learned to prune (its unpruned sweep needs 104418 states at
 // the widest edge, over the 100k beam). The re-blessed fixture is only
 // trusted because two independent oracles agree on the bound it records.
+// Its solution lines were re-blessed again when slot lifetimes were cut to
+// the last start edge (an equal-weight tie broke the other way).
 TEST(GoldenCorpusTest, MountainN12ExactDpBoundMatchesTheOracles) {
-  for (const GoldenCase& c : build_path_corpus()) {
-    if (c.name != "e6_mountain_n12") continue;
-    const SapSolution sol = solve_sap(c.instance, c.params);
-    const cert::CertifyOutcome outcome = cert::certify_solution(c.instance, sol);
-    ASSERT_TRUE(outcome.certified);
-    EXPECT_EQ(outcome.cert.ub.rung, cert::UbRung::kExactDp);
-    EXPECT_EQ(outcome.cert.ub.value, 435);
-    EXPECT_EQ(sap_brute_force(c.instance).weight(c.instance),
-              outcome.cert.ub.value);
-    const UfppExactResult ufpp = ufpp_exact(c.instance);
-    ASSERT_TRUE(ufpp.proven_optimal);
-    EXPECT_EQ(ufpp.weight, outcome.cert.ub.value);
-    return;
-  }
-  FAIL() << "e6_mountain_n12 is not in the corpus";
+  const PathInstance inst =
+      expect_exact_dp_bound_matches_brute_force("e6_mountain_n12", 435);
+  const UfppExactResult ufpp = ufpp_exact(inst);
+  ASSERT_TRUE(ufpp.proven_optimal);
+  EXPECT_EQ(ufpp.weight, 435);
+}
+
+// paper_fig1b's solution lines were re-blessed with start-edge lifetimes
+// (an equal-weight tie broke the other way): the new solution must still be
+// feasible and the bound the brute-force optimum. UFPP packs all eight
+// tasks, which is the figure's point: OPT_UFPP = 8 > OPT_SAP = 7.
+TEST(GoldenCorpusTest, PaperFig1bExactDpBoundMatchesTheOracles) {
+  const PathInstance inst =
+      expect_exact_dp_bound_matches_brute_force("paper_fig1b", 7);
+  const UfppExactResult ufpp = ufpp_exact(inst);
+  ASSERT_TRUE(ufpp.proven_optimal);
+  EXPECT_EQ(ufpp.weight, 8);
 }
 
 // A deterministic work ceiling on the one hot loop: the profile DP states
@@ -316,7 +348,7 @@ TEST(GoldenCorpusTest, MountainN12ExactDpBoundMatchesTheOracles) {
 // holds on any machine; a change that makes the DP do more than 10% more
 // work than the recorded figure fails here even if every byte above agrees.
 TEST(GoldenCorpusTest, E6ProfileDpWorkStaysUnderCeiling) {
-  constexpr std::int64_t kRecordedStatesExpanded = 125431;
+  constexpr std::int64_t kRecordedStatesExpanded = 57104;
   TelemetryReport report;
   {
     const TelemetrySession session(&report);

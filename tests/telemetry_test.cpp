@@ -52,6 +52,39 @@ TEST(TelemetryReportTest, MergeAddsEverything) {
   EXPECT_DOUBLE_EQ(a.timer("t").seconds, 1.5);
 }
 
+TEST(TelemetryReportTest, PeaksKeepTheMaximumAndMergeByMax) {
+  TelemetryReport a;
+  a.add_peak("p", 5);
+  a.add_peak("p", 3);
+  a.add_count("s", 5);
+  EXPECT_EQ(a.count("p"), 5);
+  TelemetryReport b;
+  b.add_peak("p", 9);
+  b.add_peak("q", 2);
+  b.add_count("s", 3);
+  a.merge(b);
+  EXPECT_EQ(a.count("p"), 9);  // max, not 14
+  EXPECT_EQ(a.count("q"), 2);
+  EXPECT_EQ(a.count("s"), 8);  // plain counters still add
+  // A peak first seen through merge() stays a peak in the merged report.
+  TelemetryReport c;
+  c.add_peak("q", 7);
+  c.merge(a);
+  EXPECT_EQ(c.count("q"), 7);
+  a.merge(c);
+  EXPECT_EQ(a.count("q"), 7);
+  EXPECT_EQ(a.count("s"), 16);
+}
+
+TEST(TelemetryReportTest, DroppedPeaksComeBackAsPeaks) {
+  TelemetryReport report;
+  report.add_peak("alloc.peak", 4);
+  report.drop_counters_with_prefix("alloc.");
+  EXPECT_EQ(report.count("alloc.peak"), 0);
+  report.add_peak("alloc.peak", 2);
+  EXPECT_EQ(report.count("alloc.peak"), 2);
+}
+
 TEST(TelemetryReportTest, JsonCountersOnlyModeOmitsTimers) {
   TelemetryReport report;
   report.add_count("n", 4);
@@ -108,6 +141,27 @@ TEST(TelemetrySessionTest, NestedSessionsShadowAndRestore) {
   telemetry::count("n");
   EXPECT_EQ(outer.count("n"), 2);
   EXPECT_EQ(inner.count("n"), 10);
+}
+
+// The batch harness's shape: an inner per-solve session, merged into an
+// outer aggregate after each solve. Peaks stay peaks across that merge.
+TEST(TelemetrySessionTest, NestedSessionPeaksMergeByMax) {
+  TelemetryReport outer;
+  TelemetrySession outer_session(&outer);
+  telemetry::peak("states.peak", 4);
+  for (const std::int64_t per_solve : {7, 3}) {
+    TelemetryReport inner;
+    {
+      TelemetrySession inner_session(&inner);
+      telemetry::peak("states.peak", per_solve);
+      telemetry::peak("states.peak", 1);
+      telemetry::count("runs");
+    }
+    EXPECT_EQ(inner.count("states.peak"), per_solve);
+    outer.merge(inner);
+  }
+  EXPECT_EQ(outer.count("states.peak"), 7);
+  EXPECT_EQ(outer.count("runs"), 2);
 }
 
 TEST(TelemetrySessionTest, ScopedTimerChargesCapturedSink) {
