@@ -33,6 +33,13 @@ UfppSolution SapSolution::to_ufpp() const {
   return out;
 }
 
+UfppSolution UfppSolution::remapped(std::span<const TaskId> back) const {
+  UfppSolution out;
+  out.tasks.reserve(tasks.size());
+  for (TaskId j : tasks) out.tasks.push_back(back[static_cast<std::size_t>(j)]);
+  return out;
+}
+
 SapSolution SapSolution::remapped(std::span<const TaskId> back) const {
   SapSolution out;
   out.placements.reserve(placements.size());

@@ -17,6 +17,9 @@ struct UfppSolution {
   [[nodiscard]] Weight weight(const PathInstance& inst) const;
   [[nodiscard]] bool empty() const noexcept { return tasks.empty(); }
   [[nodiscard]] std::size_t size() const noexcept { return tasks.size(); }
+
+  /// Remaps task ids through `back`, as SapSolution::remapped does.
+  [[nodiscard]] UfppSolution remapped(std::span<const TaskId> back) const;
 };
 
 /// One placed task of a SAP solution: the task occupies the vertical range

@@ -273,7 +273,7 @@ void EventLoop::process_input(const ConnPtr& conn) {
       }
       break;
     }
-    if (header.length > options_.max_frame_payload) {
+    if (header.length > kDefaultMaxFramePayload) {
       conn->reads_stopped = true;
       if (handlers_.on_protocol_error) {
         handlers_.on_protocol_error(conn, ReadStatus::kTooLarge,

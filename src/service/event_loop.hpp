@@ -102,7 +102,6 @@ class EventConn {
 using ConnPtr = std::shared_ptr<EventConn>;
 
 struct EventLoopOptions {
-  std::size_t max_frame_payload = kDefaultMaxFramePayload;
   /// Pending output making no progress for this long poisons the
   /// connection (half-open peer shedding).
   std::chrono::milliseconds write_stall_timeout{30'000};

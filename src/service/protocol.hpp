@@ -148,7 +148,7 @@ struct ErrorResponse {
 [[nodiscard]] ErrorResponse parse_error_response(std::string_view payload);
 
 /// Item ceiling a receiver applies to batch frames before touching any
-/// inner payload (like max_frame_payload, an attacker-declared count can
+/// inner payload (like kDefaultMaxFramePayload, an attacker-declared count can
 /// never drive allocation).
 inline constexpr std::size_t kDefaultMaxBatchItems = 64;
 

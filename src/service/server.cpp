@@ -199,7 +199,6 @@ void Server::start() {
                                                 shards_->shard_count());
 
   EventLoopOptions loop_options;
-  loop_options.max_frame_payload = options_.max_frame_payload;
   loop_options.write_stall_timeout = options_.send_timeout;
   EventLoopHandlers handlers;
   handlers.on_accept = [this](const ConnPtr&) {
@@ -287,7 +286,7 @@ void Server::on_protocol_error(const ConnPtr& conn, ReadStatus status,
   const std::string message =
       status == ReadStatus::kTooLarge
           ? "frame payload exceeds server limit of " +
-                std::to_string(options_.max_frame_payload) + " bytes"
+                std::to_string(kDefaultMaxFramePayload) + " bytes"
           : "bad frame magic";
   // The stream is poisoned mid-frame; flush the rejection, then close.
   loop_->send(conn, FrameType::kErrorResponse,
@@ -313,7 +312,7 @@ void Server::handle_batch_frame(const ConnPtr& conn, std::string payload) {
 
   std::vector<std::string> items;
   try {
-    items = parse_batch_solve_request(payload, options_.max_batch_items);
+    items = parse_batch_solve_request(payload);
   } catch (const std::invalid_argument& error) {
     // Malformed *outer* envelope: reject the frame as a whole. (A malformed
     // inner item only rejects that slot, below.)

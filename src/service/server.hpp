@@ -66,6 +66,13 @@ enum class FaultPoint {
 };
 using FaultInjector = std::function<void(FaultPoint)>;
 
+/// Caps applied when parsing network-supplied instance text. (The frame
+/// payload ceiling, kDefaultMaxFramePayload, and the batch item cap,
+/// kDefaultMaxBatchItems, are enforced before allocation.)
+inline constexpr ReadLimits kServerReadLimits{.max_edges = 1'000'000,
+                                              .max_tasks = 1'000'000,
+                                              .max_placements = 1'000'000};
+
 struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; query Server::port() after start
@@ -86,14 +93,6 @@ struct ServerOptions {
   /// and replayed into the cache before the server listens, and flushed
   /// (fsync) before a graceful drain completes.
   std::string cache_persist_path;
-  /// Frame payload ceiling enforced before allocation.
-  std::size_t max_frame_payload = kDefaultMaxFramePayload;
-  /// Items per kBatchSolveRequest frame, enforced before any inner parse.
-  std::size_t max_batch_items = kDefaultMaxBatchItems;
-  /// Caps applied when parsing network-supplied instance text.
-  ReadLimits read_limits{.max_edges = 1'000'000,
-                         .max_tasks = 1'000'000,
-                         .max_placements = 1'000'000};
   /// Server-side default solve budget applied when a request carries no
   /// `deadline_ms` line. 0 = unlimited (the pre-deadline behaviour).
   std::int64_t default_deadline_ms = 0;

@@ -149,9 +149,9 @@ template <typename Inst>
 Inst read_instance(const Call& call) {
   std::istringstream is(call.request.instance_text);
   if constexpr (std::is_same_v<Inst, RingInstance>) {
-    return read_ring_instance(is, call.options.read_limits);
+    return read_ring_instance(is, kServerReadLimits);
   } else {
-    return read_path_instance(is, call.options.read_limits);
+    return read_path_instance(is, kServerReadLimits);
   }
 }
 

@@ -17,7 +17,7 @@ inline constexpr std::size_t kExactMaxStates = 5'000'000;
 
 /// Solves `request` under its budget, which starts now: `deadline_ms`
 /// when set, else `options.default_deadline_ms` when set, else unlimited.
-/// Uses `options.read_limits` to parse the instance and fires
+/// Uses kServerReadLimits to parse the instance and fires
 /// `options.fault_injector` at FaultPoint::kPreFallback. Throws
 /// std::invalid_argument for a bad request: malformed instance text, an
 /// unknown (kind, algo) pair, or a certificate asked of a round kind. An

@@ -4,15 +4,17 @@
 // (§1.2); having the UFPP original alongside lets the benches measure what
 // SAP's contiguity requirement costs on identical workloads.
 //
-// Structure (mirrors solve_sap):
-//   small  — per-octave (B/2)-packable UFPP solutions (local ratio or LP
-//            rounding); the union over octaves is feasible because octave
-//            t contributes load <= 2^(t-1) only to edges with c_e >= 2^t,
-//            and the geometric series sum_{2^t <= c_e} 2^(t-1) < c_e.
-//   medium — AlmostUniform bands with an exact per-band UFPP oracle run
-//            under reserve-reduced capacities min(c_e, 2^(k+ell)) -
-//            2^(k-q+1); bands spaced ell+q apart then stack within the
-//            reserve (the UFPP analogue of beta-elevation).
+// Structure: the same stages as solve_sap, sharing its octave, band and
+// residue-class code (src/core/classify.hpp); only the per-stage oracles
+// differ:
+//   small  — the per-octave (B/2)-packable UFPP solutions themselves,
+//            unioned with no strip transformation: octave t contributes
+//            load <= 2^(t-1) only to edges with c_e >= 2^t, and the
+//            geometric series sum_{2^t <= c_e} 2^(t-1) < c_e.
+//   medium — an exact per-band UFPP oracle run under reserve-reduced
+//            capacities min(c_e, 2^(k+ell)) - 2^(k-q+1); bands spaced
+//            ell+q apart then stack within the reserve (the UFPP analogue
+//            of beta-elevation).
 //   large  — the rectangle MWIS (its output is in particular UFPP
 //            feasible; Bonsma et al. analyse it at 2k vs our 2k-1).
 // Returns the heaviest of the three (Lemma 3).

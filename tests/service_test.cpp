@@ -373,17 +373,16 @@ TEST(ServiceTest, MalformedEnvelopeAndInstanceRejectedTyped) {
 }
 
 TEST(ServiceTest, InstanceOverServerReadLimitsRejected) {
-  ServerOptions options;
-  options.read_limits.max_tasks = 4;
-  Server server(options);
+  Server server(ServerOptions{});
   server.start();
   Client client;
   client.connect("127.0.0.1", server.port());
 
+  // The declared count alone is rejected, before any task is read or
+  // allocated.
   SolveRequest request;
   request.instance_text =
-      "sap-path v1\nedges 1\ncapacities 9\ntasks 5\n"
-      "0 0 1 1\n0 0 1 1\n0 0 1 1\n0 0 1 1\n0 0 1 1\n";
+      "sap-path v1\nedges 1\ncapacities 9\ntasks 2000000\n0 0 1 1\n";
   const Client::SolveOutcome outcome = client.solve(request);
   ASSERT_FALSE(outcome.ok);
   EXPECT_EQ(outcome.error_code, ErrorCode::kBadRequest);
@@ -415,9 +414,7 @@ TEST(ServiceTest, GarbageMagicGetsErrorThenClose) {
 }
 
 TEST(ServiceTest, OversizedFrameGetsErrorThenClose) {
-  ServerOptions options;
-  options.max_frame_payload = 1024;
-  Server server(options);
+  Server server(ServerOptions{});
   server.start();
 
   const int fd = connect_raw(server.port());
@@ -668,6 +665,34 @@ TEST(ServiceTest, ExpiredDeadlineDegradesUniformToVerifiedApproximation) {
   std::istringstream sol_is(outcome.response.solution_text);
   const VerifyResult verdict = verify_sap(inst, read_sap_solution(sol_is));
   EXPECT_TRUE(verdict.ok) << verdict.reason;
+  server.stop();
+}
+
+// At the default eps a medium task with b(j) >= 2^59 has bands reaching
+// 2^(k+ell) = 2^63: a valid request whose band capacities saturate at
+// kMaxExactCapacity, served ok both plain and through the 1 ms fallback
+// (both used to come back BAD_REQUEST).
+TEST(ServiceTest, HugeCapacityRequestIsServed) {
+  Server server(ServerOptions{});
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+
+  SolveRequest request;
+  request.instance_text =
+      "sap-path v1\nedges 1\ncapacities 1000000000000000000\ntasks 1\n"
+      "0 0 300000000000000000 5\n";
+  std::istringstream inst_is(request.instance_text);
+  const PathInstance inst = read_path_instance(inst_is);
+  for (const std::int64_t deadline_ms : {0, 1}) {
+    request.deadline_ms = deadline_ms;
+    const Client::SolveOutcome outcome = client.solve(request);
+    ASSERT_TRUE(outcome.ok) << deadline_ms << ": " << outcome.error_message;
+    std::istringstream sol_is(outcome.response.solution_text);
+    const VerifyResult verdict = verify_sap(inst, read_sap_solution(sol_is));
+    EXPECT_TRUE(verdict.ok) << verdict.reason;
+  }
+  EXPECT_EQ(server.stats_snapshot().requests_bad, 0u);
   server.stop();
 }
 
@@ -953,9 +978,7 @@ TEST(ServiceBatchTest, CanonicallyEqualBatchItemsCoalesceToOneSolve) {
 }
 
 TEST(ServiceBatchTest, BatchOverItemLimitRejectedBeforeAnyInnerParse) {
-  ServerOptions options;
-  options.max_batch_items = 2;
-  Server server(options);
+  Server server(ServerOptions{});
   server.start();
   Client client;
   client.connect("127.0.0.1", server.port());
@@ -963,9 +986,10 @@ TEST(ServiceBatchTest, BatchOverItemLimitRejectedBeforeAnyInnerParse) {
   SolveRequest request;
   request.instance_text =
       "sap-path v1\nedges 1\ncapacities 4\ntasks 1\n0 0 2 5\n";
+  const std::vector<SolveRequest> batch(kDefaultMaxBatchItems + 1, request);
   const std::vector<Client::SolveOutcome> outcomes =
-      client.solve_batch({request, request, request});
-  ASSERT_EQ(outcomes.size(), 3u);
+      client.solve_batch(batch);
+  ASSERT_EQ(outcomes.size(), batch.size());
   for (const Client::SolveOutcome& outcome : outcomes) {
     ASSERT_FALSE(outcome.ok);
     EXPECT_EQ(outcome.error_code, ErrorCode::kBadRequest);

@@ -127,6 +127,28 @@ TEST(SolverParamsTest, ValidateRejectsBadConfigurations) {
   EXPECT_THROW((void)solve_sap(inst, bad_eps), std::invalid_argument);
 }
 
+// Medium bands reach 2^(k+ell) >= 2^63 when b(j) >= 2^(63-ell): band
+// capacities saturate at kMaxExactCapacity instead of overflowing, so these
+// admissible instances solve (they used to throw from a band sub-instance
+// whose wrapped capacity was negative).
+TEST(SolverTest, HugeCapacityMediumBandsStayExact) {
+  const PathInstance one_task({1'000'000'000'000'000'000},
+                              {{0, 0, 300'000'000'000'000'000, 5}});
+  const SapSolution sol = solve_sap(one_task);  // eps 0.5: ell = 4
+  EXPECT_TRUE(verify_sap(one_task, sol)) << verify_sap(one_task, sol).reason;
+  EXPECT_EQ(sol.weight(one_task), 5);
+
+  const PathInstance two_tasks(
+      {10'000'000'000'000},
+      {{0, 0, 3'000'000'000'000, 5}, {0, 0, 4'000'000'000'000, 7}});
+  SolverParams params;
+  params.eps = 0.1;  // ell = 20
+  const SapSolution sol2 = solve_sap(two_tasks, params);
+  EXPECT_TRUE(verify_sap(two_tasks, sol2))
+      << verify_sap(two_tasks, sol2).reason;
+  EXPECT_GT(sol2.weight(two_tasks), 0);
+}
+
 TEST(SolverTest, EmptyInstance) {
   const PathInstance inst({4, 4}, {});
   const SapSolution sol = solve_sap(inst);

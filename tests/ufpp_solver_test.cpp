@@ -114,5 +114,30 @@ TEST(UfppSolverTest, SapPipelineNeverBeatsUfppMeaningfully) {
   EXPECT_GE(4 * ufpp_total, 3 * sap_total);
 }
 
+// Octave clamps (2^(t+1)) and band capacities (2^(k+ell)) saturate at
+// kMaxExactCapacity: huge admissible capacities used to overflow both.
+TEST(UfppSolverTest, HugeCapacitiesStayExact) {
+  struct Case {
+    PathInstance inst;
+    double eps;
+  };
+  const Case cases[] = {
+      {PathInstance({1'000'000'000'000'000'000},
+                    {{0, 0, 300'000'000'000'000'000, 5}}),
+       0.5},
+      {PathInstance({10'000'000'000'000}, {{0, 0, 3'000'000'000'000, 5},
+                                           {0, 0, 4'000'000'000'000, 7}}),
+       0.1},
+      {PathInstance({kMaxExactCapacity}, {{0, 0, 1, 3}}), 0.5},
+  };
+  for (const Case& c : cases) {
+    SolverParams params;
+    params.eps = c.eps;
+    const UfppSolution sol = solve_ufpp_approx(c.inst, params);
+    EXPECT_TRUE(verify_ufpp(c.inst, sol)) << verify_ufpp(c.inst, sol).reason;
+    EXPECT_GT(sol.weight(c.inst), 0);
+  }
+}
+
 }  // namespace
 }  // namespace sap
