@@ -4,7 +4,7 @@
 // the sapd solver service.
 //
 // Usage:
-//   sapkit_cli solve   [--algo full|exact|uniform|small|medium|large]
+//   sapkit_cli solve   [--algo full|exact|uniform]
 //                      [--eps X] [--seed N] [--ring] [--kind K]
 //                      [--certify] [--cert-out FILE] [--deadline-ms B]
 //                      [file]
@@ -83,7 +83,7 @@ struct UsageError : std::runtime_error {
 void print_usage(std::ostream& os) {
   os << "usage: sapkit_cli "
         "solve|exact|bound|round|gen|batch|serve|request [options] [file]\n"
-        "  solve   --algo full|exact|uniform|small|medium|large --eps X\n"
+        "  solve   --algo full|exact|uniform --eps X\n"
         "          --seed N [--ring] [--kind K] [--certify]\n"
         "          [--cert-out FILE] [--deadline-ms B]\n"
         "  round   [--kind round-ufp|round-sap] [--algo full|exact]\n"

@@ -97,25 +97,6 @@ void bound_case(const Instance& inst, const Solution& sol, bool certify,
 
 }  // namespace
 
-void BatchResumeStore::attach(BatchOptions& options) {
-  options.load_case = [this](std::size_t i, BatchCase* c) {
-    std::lock_guard lock(mutex_);
-    const auto it = done_.find(i);
-    if (it == done_.end()) return false;
-    *c = it->second;
-    return true;
-  };
-  options.save_case = [this](std::size_t i, const BatchCase& c) {
-    std::lock_guard lock(mutex_);
-    done_.insert_or_assign(i, c);
-  };
-}
-
-std::size_t BatchResumeStore::size() const {
-  std::lock_guard lock(mutex_);
-  return done_.size();
-}
-
 BatchReport run_batch(const BatchOptions& options, const BatchCaseFn& fn,
                       ThreadPool& pool) {
   BatchReport out;
@@ -128,31 +109,19 @@ BatchReport run_batch(const BatchOptions& options, const BatchCaseFn& fn,
   pool.parallel_for(options.num_instances, [&](std::size_t i) {
     const std::uint64_t seed = batch_case_seed(options.base_seed, i);
     BatchCase c;
-    if (options.load_case && options.load_case(i, &c)) {
-      // Completed by a previous (interrupted) run; reuse verbatim. The
-      // aggregate stays deterministic because the record is the pure
-      // function of (i, seed) the first run already computed. (No counter
-      // is bumped here: resumed and uninterrupted sweeps must aggregate to
-      // byte-identical reports.)
-      cases[i] = std::move(c);
-      return;
-    }
     TelemetryReport collected;
     const auto case_start = Clock::now();
-    if (options.collect_telemetry) {
+    {
       TelemetrySession session(&collected);
-      c = fn(i, seed);
-    } else {
       c = fn(i, seed);
     }
     c.seconds = seconds_since(case_start);
     // Allocator counters record whether the executing thread's arena was
     // warm — a scheduling fact, not a property of the case — so they are
     // dropped from records that must aggregate byte-identically across
-    // thread counts and resumes.
+    // thread counts.
     collected.drop_counters_with_prefix("alloc.");
     c.telemetry.merge(collected);
-    if (options.save_case) options.save_case(i, c);
     cases[i] = std::move(c);
   });
   out.total_seconds = seconds_since(sweep_start);

@@ -15,10 +15,6 @@
 #include <functional>
 #include <iosfwd>
 #include <limits>
-#include <mutex>
-// sapkit-lint: allow(determinism) -- header for BatchResumeStore's
-// index-keyed checkpoint map; see the member for the iteration argument.
-#include <unordered_map>
 #include <vector>
 
 #include "src/cert/certificate.hpp"
@@ -62,39 +58,9 @@ using BatchCaseFn = std::function<BatchCase(std::size_t index,
 struct BatchOptions {
   std::size_t num_instances = 0;
   std::uint64_t base_seed = 1;
-  /// Install a TelemetrySession around each case (cases still run with the
-  /// instrumentation disabled-path cost when false).
-  bool collect_telemetry = true;
   /// Keep every per-case record in BatchReport::cases (the aggregate is
   /// always computed).
   bool keep_cases = true;
-  /// Resume seam. `load_case(i, &c)` returning true supplies a completed
-  /// record from a previous (interrupted) run and skips recomputation;
-  /// `save_case(i, c)` fires as each case completes so the caller can
-  /// persist it. Both are called from pool worker threads concurrently —
-  /// implementations must be thread-safe. Because a case is a pure function
-  /// of (index, seed) and aggregation is sequential in instance order, a
-  /// resumed sweep's aggregate is byte-identical to an uninterrupted one.
-  std::function<bool(std::size_t, BatchCase*)> load_case;
-  std::function<void(std::size_t, const BatchCase&)> save_case;
-};
-
-/// Ready-made in-memory checkpoint store for the resume seam: survives an
-/// exception that aborts run_batch (e.g. a deadline or a simulated kill)
-/// and lets the next run_batch complete only the missing cases.
-class BatchResumeStore {
- public:
-  /// Wires this store into `options` (overwrites load_case/save_case).
-  void attach(BatchOptions& options);
-
-  [[nodiscard]] std::size_t size() const;
-
- private:
-  mutable std::mutex mutex_;
-  // sapkit-lint: allow(determinism) -- never iterated: accessed only by
-  // point lookup/insert on the case index, so iteration order cannot
-  // reach any output.
-  std::unordered_map<std::size_t, BatchCase> done_;
 };
 
 /// Aggregate over one sweep. All fields except `threads`, `total_seconds`,

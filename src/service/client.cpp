@@ -230,62 +230,6 @@ Client::SolveOutcome Client::solve(const SolveRequest& request) {
   return outcome;
 }
 
-std::vector<Client::SolveOutcome> Client::solve_batch(
-    const std::vector<SolveRequest>& requests) {
-  if (requests.empty()) return {};
-  std::vector<std::string> items;
-  items.reserve(requests.size());
-  for (const SolveRequest& request : requests) {
-    items.push_back(encode_solve_request(request));
-  }
-  Reply reply = round_trip(FrameType::kBatchSolveRequest,
-                           encode_batch_solve_request(items),
-                           FrameType::kBatchSolveResponse);
-  if (reply.is_error) {
-    if (!reply.local_timeout && reply.error.code == ErrorCode::kBadRequest &&
-        reply.error.message.find("unknown frame type") != std::string::npos) {
-      // Old server: it answered the probe with a typed error and kept the
-      // connection usable, so fall back to sequential round trips.
-      std::vector<SolveOutcome> outcomes;
-      outcomes.reserve(requests.size());
-      for (const SolveRequest& request : requests) {
-        outcomes.push_back(solve(request));
-      }
-      return outcomes;
-    }
-    // Whole-frame rejection (malformed outer envelope, item limit, local
-    // timeout): every slot shares the same fate.
-    SolveOutcome failed;
-    failed.ok = false;
-    failed.error_code = reply.error.code;
-    failed.error_message = reply.error.message;
-    failed.local_timeout = reply.local_timeout;
-    return std::vector<SolveOutcome>(requests.size(), failed);
-  }
-  const std::vector<BatchItemResult> slots =
-      parse_batch_solve_response(reply.payload, requests.size());
-  if (slots.size() != requests.size()) {
-    close();
-    throw std::runtime_error(
-        "sapd client: batch response count mismatch (sent " +
-        std::to_string(requests.size()) + ", got " +
-        std::to_string(slots.size()) + ")");
-  }
-  std::vector<SolveOutcome> outcomes(requests.size());
-  for (std::size_t i = 0; i < slots.size(); ++i) {
-    if (slots[i].ok) {
-      outcomes[i].ok = true;
-      outcomes[i].response = parse_solve_response(slots[i].payload);
-    } else {
-      const ErrorResponse error = parse_error_response(slots[i].payload);
-      outcomes[i].ok = false;
-      outcomes[i].error_code = error.code;
-      outcomes[i].error_message = error.message;
-    }
-  }
-  return outcomes;
-}
-
 std::int64_t Client::backoff_ms(const RetryPolicy& policy, int attempt,
                                 Rng& rng) {
   double base = static_cast<double>(policy.initial_backoff_ms);

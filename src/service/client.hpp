@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/service/protocol.hpp"
 #include "src/util/rng.hpp"
@@ -82,16 +81,6 @@ class Client {
   /// violations); server-side rejections and local read/write timeouts come
   /// back in the outcome.
   [[nodiscard]] SolveOutcome solve(const SolveRequest& request);
-
-  /// Sends `requests` as one kBatchSolveRequest frame and returns one
-  /// outcome per request, position-matched. Version negotiation: a server
-  /// that predates batching rejects the frame with BAD_REQUEST "unknown
-  /// frame type", which this method detects and transparently falls back to
-  /// sequential solve() round trips. Any other whole-frame rejection (e.g.
-  /// the batch exceeds the server's item limit) is replicated into every
-  /// slot. Throws std::runtime_error on transport errors.
-  [[nodiscard]] std::vector<SolveOutcome> solve_batch(
-      const std::vector<SolveRequest>& requests);
 
   /// solve() wrapped in the retry policy: reconnects and retries after
   /// OVERLOADED rejections and transport failures, with jittered

@@ -329,104 +329,6 @@ SolveResponse parse_solve_response(std::string_view payload) {
   return response;
 }
 
-std::string encode_batch_solve_request(
-    const std::vector<std::string>& items) {
-  std::string payload = "sapd-batch v1\n";
-  payload += "count " + std::to_string(items.size()) + "\n";
-  for (const std::string& item : items) {
-    // Inner payloads are length-prefixed raw bytes with an explicit '\n'
-    // terminator after the blob: inner text need not end in a newline, and
-    // the parser must not have to guess where the next header line starts.
-    payload += "request " + std::to_string(item.size()) + "\n";
-    payload += item;
-    payload += '\n';
-  }
-  return payload;
-}
-
-std::vector<std::string> parse_batch_solve_request(std::string_view payload,
-                                                   std::size_t max_items) {
-  EnvelopeParser parser(payload);
-  parser.expect_line("sapd-batch v1");
-  const std::int64_t count = parse_i64(parser.take("count"), "batch count");
-  if (count < 1) {
-    EnvelopeParser::fail("bad batch count " + std::to_string(count) +
-                         " (want at least 1)");
-  }
-  if (static_cast<std::uint64_t>(count) > max_items) {
-    EnvelopeParser::fail("batch count " + std::to_string(count) +
-                         " exceeds receiver limit of " +
-                         std::to_string(max_items) + " items");
-  }
-  std::vector<std::string> items;
-  items.reserve(static_cast<std::size_t>(count));
-  for (std::int64_t i = 0; i < count; ++i) {
-    const std::int64_t n =
-        parse_i64(parser.take("request"), "request byte count");
-    if (n < 0) EnvelopeParser::fail("negative request byte count");
-    items.emplace_back(
-        parser.take_bytes(static_cast<std::size_t>(n), "batch request"));
-    if (parser.take_bytes(1, "batch request terminator") != "\n") {
-      EnvelopeParser::fail("batch request blob not '\\n'-terminated");
-    }
-  }
-  if (!parser.rest().empty()) {
-    EnvelopeParser::fail("trailing bytes after the last batch request");
-  }
-  return items;
-}
-
-std::string encode_batch_solve_response(
-    const std::vector<BatchItemResult>& items) {
-  std::string payload = "sapd-batch-result v1\n";
-  payload += "count " + std::to_string(items.size()) + "\n";
-  for (const BatchItemResult& item : items) {
-    payload += item.ok ? "ok " : "error ";
-    payload += std::to_string(item.payload.size());
-    payload += '\n';
-    payload += item.payload;
-    payload += '\n';
-  }
-  return payload;
-}
-
-std::vector<BatchItemResult> parse_batch_solve_response(
-    std::string_view payload, std::size_t max_items) {
-  EnvelopeParser parser(payload);
-  parser.expect_line("sapd-batch-result v1");
-  const std::int64_t count = parse_i64(parser.take("count"), "batch count");
-  if (count < 0) EnvelopeParser::fail("negative batch count");
-  if (static_cast<std::uint64_t>(count) > max_items) {
-    EnvelopeParser::fail("batch count " + std::to_string(count) +
-                         " exceeds receiver limit of " +
-                         std::to_string(max_items) + " items");
-  }
-  std::vector<BatchItemResult> items;
-  items.reserve(static_cast<std::size_t>(count));
-  for (std::int64_t i = 0; i < count; ++i) {
-    BatchItemResult item;
-    std::string_view size_text;
-    if (parser.take_if("ok", &size_text)) {
-      item.ok = true;
-    } else {
-      size_text = parser.take("error");
-      item.ok = false;
-    }
-    const std::int64_t n = parse_i64(size_text, "item byte count");
-    if (n < 0) EnvelopeParser::fail("negative item byte count");
-    item.payload = std::string(
-        parser.take_bytes(static_cast<std::size_t>(n), "batch item"));
-    if (parser.take_bytes(1, "batch item terminator") != "\n") {
-      EnvelopeParser::fail("batch item blob not '\\n'-terminated");
-    }
-    items.push_back(std::move(item));
-  }
-  if (!parser.rest().empty()) {
-    EnvelopeParser::fail("trailing bytes after the last batch item");
-  }
-  return items;
-}
-
 std::string encode_error_response(const ErrorResponse& error) {
   std::string payload = "sapd-error v1\ncode ";
   payload += error_code_name(error.code);

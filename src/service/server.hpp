@@ -15,10 +15,7 @@
 //     canonical digest, serves repeated instances without solving and
 //     coalesces concurrent identical solves into one computation whose
 //     byte-identical response fans out to every waiter. Degraded or
-//     errored computations are never cached;
-//   - a batched frame (kBatchSolveRequest) carries N independent solve
-//     payloads in one round trip; items are individually admitted, cached
-//     and sharded, and the aggregated response preserves order.
+//     errored computations are never cached.
 //
 // Shutdown contract (SIGTERM-friendly, exercised under ASan): stop() closes
 // the listener first, lets every admitted solve finish, flushes every
@@ -67,8 +64,7 @@ enum class FaultPoint {
 using FaultInjector = std::function<void(FaultPoint)>;
 
 /// Caps applied when parsing network-supplied instance text. (The frame
-/// payload ceiling, kDefaultMaxFramePayload, and the batch item cap,
-/// kDefaultMaxBatchItems, are enforced before allocation.)
+/// payload ceiling, kDefaultMaxFramePayload, is enforced before allocation.)
 inline constexpr ReadLimits kServerReadLimits{.max_edges = 1'000'000,
                                               .max_tasks = 1'000'000,
                                               .max_placements = 1'000'000};
@@ -123,7 +119,6 @@ struct ServerStats {
   std::uint64_t requests_deadline_exceeded = 0;
   std::uint64_t requests_degraded = 0;  ///< served ok, but degraded
   std::uint64_t stats_requests = 0;
-  std::uint64_t batch_requests = 0;  ///< batch frames (items count above)
   std::size_t queue_depth = 0;    ///< admitted, not yet started (all shards)
   std::size_t active_solves = 0;  ///< running on the pools right now
   /// Per-shard gauges, index = shard id.
@@ -175,16 +170,11 @@ class Server {
   [[nodiscard]] ServerStats stats_snapshot() const;
 
  private:
-  struct BatchContext;
-
-  /// Where a finished solve's bytes go: a connection's single-response
-  /// frame, or one slot of a batch aggregate.
+  /// Where a finished solve's bytes go: one response frame on a
+  /// connection, which completes one pending promise there.
   struct ResponseTarget {
     ConnPtr conn;
-    std::shared_ptr<BatchContext> batch;  ///< null = standalone response
-    std::size_t slot = 0;
-    bool counts_pending = false;  ///< completion consumes one promise
-    std::size_t shard = 0;        ///< latency-reservoir stripe hint
+    std::size_t shard = 0;  ///< latency-reservoir stripe hint
     std::chrono::steady_clock::time_point admitted_at{};
   };
 
@@ -199,9 +189,7 @@ class Server {
   void on_protocol_error(const ConnPtr& conn, ReadStatus status,
                          std::uint32_t declared_length);
   void handle_solve_frame(const ConnPtr& conn, std::string payload);
-  void handle_batch_frame(const ConnPtr& conn, std::string payload);
-  /// Parses, consults the cache, and routes to a shard (loop thread).
-  void dispatch_payload(ResponseTarget target, const std::string& payload);
+  /// Consults the cache and routes to a shard (loop thread).
   void dispatch_request(ResponseTarget target, SolveRequest request,
                         bool allow_cache);
   /// Runs one solve and fans the outcome out (worker thread). `cache_key`
@@ -216,8 +204,6 @@ class Server {
   void complete_ok(const ResponseTarget& target, const std::string& payload);
   void complete_error(const ResponseTarget& target, ErrorCode code,
                       const std::string& message);
-  void finish_batch_slot(const ResponseTarget& target, bool ok,
-                         std::string payload);
   void count_rejection(ErrorCode code);
   /// Pops parked waiters and either completes them with the published
   /// payload or re-dispatches them cache-less after an abandon.
@@ -255,7 +241,6 @@ class Server {
   std::atomic<std::uint64_t> requests_internal_error_{0};
   std::atomic<std::uint64_t> requests_degraded_{0};
   std::atomic<std::uint64_t> stats_requests_{0};
-  std::atomic<std::uint64_t> batch_requests_{0};
 };
 
 }  // namespace sap::service

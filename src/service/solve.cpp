@@ -1,13 +1,11 @@
 #include "src/service/solve.hpp"
 
 #include <chrono>
-#include <numeric>
 #include <sstream>
 #include <stdexcept>
 #include <string>
 #include <string_view>
 #include <type_traits>
-#include <vector>
 
 #include "src/cert/certify.hpp"
 #include "src/core/ring_solver.hpp"
@@ -65,14 +63,6 @@ SapSolution path_exact(const PathInstance& inst, const Call& call) {
 
 SapSolution path_uniform(const PathInstance& inst, const Call& call) {
   return solve_sap_uniform(inst, {.deadline = call.deadline});
-}
-
-/// `algo small|medium|large`: one stage of the pipeline over every task.
-template <auto Stage>
-SapSolution path_stage(const PathInstance& inst, const Call& call) {
-  std::vector<TaskId> ids(inst.num_tasks());
-  std::iota(ids.begin(), ids.end(), TaskId{0});
-  return Stage(inst, ids, path_params(call), nullptr);
 }
 
 SapSolution path_fallback(const PathInstance& inst, const Call& call) {
@@ -263,12 +253,6 @@ const Entry kRoutes[] = {
     {Kind::kPath, "full", routed<path_full, path_fallback>},
     {Kind::kPath, "exact", routed<path_exact, path_fallback>},
     {Kind::kPath, "uniform", routed<path_uniform, path_fallback>},
-    {Kind::kPath, "small",
-     routed<path_stage<solve_small_tasks>, path_fallback>},
-    {Kind::kPath, "medium",
-     routed<path_stage<solve_medium_tasks>, path_fallback>},
-    {Kind::kPath, "large",
-     routed<path_stage<solve_large_tasks>, path_fallback>},
     {Kind::kRoundUfp, "full", routed<round_full, round_fallback>},
     {Kind::kRoundUfp, "exact", routed<round_exact, round_fallback>},
     {Kind::kRoundSap, "full", routed<round_full, round_fallback>},

@@ -230,107 +230,5 @@ TEST(BatchRunnerTest, EmptySweepProducesValidReport) {
   EXPECT_EQ(json, deterministic_json(run_batch(options, must_not_run, other)));
 }
 
-TEST(BatchRunnerTest, TelemetryCollectionCanBeDisabled) {
-  ThreadPool pool(2);
-  BatchOptions options;
-  options.num_instances = 4;
-  options.base_seed = 21;
-  options.collect_telemetry = false;
-  const BatchReport report =
-      run_batch(options, make_path_batch_case(tiny_path_config()), pool);
-  EXPECT_EQ(report.solved, 4u);
-  EXPECT_TRUE(report.telemetry.empty());
-}
-
-TEST(BatchRunnerTest, InterruptedSweepResumesToIdenticalReport) {
-  constexpr std::size_t kInstances = 16;
-  constexpr std::size_t kKillAfter = 6;
-  const BatchCaseFn fn = make_path_batch_case(tiny_path_config());
-
-  BatchOptions options;
-  options.num_instances = kInstances;
-  options.base_seed = 404;
-
-  // Reference: one uninterrupted sweep.
-  ThreadPool pool(2);
-  const std::string expected =
-      deterministic_json(run_batch(options, fn, pool));
-
-  // Interrupted sweep: after kKillAfter cases complete, every further case
-  // dies (simulating a killed process mid-sweep). Completed cases persist
-  // in the resume store.
-  BatchResumeStore store;
-  BatchOptions resumable = options;
-  store.attach(resumable);
-  std::atomic<std::size_t> completed{0};
-  EXPECT_THROW(
-      (void)run_batch(
-          resumable,
-          [&](std::size_t index, std::uint64_t seed) {
-            if (completed.load() >= kKillAfter) {
-              throw std::runtime_error("simulated kill");
-            }
-            BatchCase c = fn(index, seed);
-            ++completed;
-            return c;
-          },
-          pool),
-      std::runtime_error);
-  ASSERT_GT(store.size(), 0u);
-  ASSERT_LT(store.size(), kInstances);
-  const std::size_t already_done = store.size();
-
-  // Resume: the second run recomputes only the missing cases, and the
-  // aggregate (counters-only JSON, including per-case records) is
-  // byte-identical to the uninterrupted reference.
-  std::atomic<std::size_t> recomputed{0};
-  const BatchReport resumed = run_batch(
-      resumable,
-      [&](std::size_t index, std::uint64_t seed) {
-        ++recomputed;
-        return fn(index, seed);
-      },
-      pool);
-  EXPECT_EQ(recomputed.load(), kInstances - already_done);
-  EXPECT_EQ(deterministic_json(resumed), expected);
-  EXPECT_EQ(store.size(), kInstances);  // the resumed run checkpointed too
-}
-
-TEST(BatchRunnerTest, ResumeStoreSurvivesRepeatedInterruptions) {
-  constexpr std::size_t kInstances = 12;
-  const BatchCaseFn fn = make_path_batch_case(tiny_path_config());
-
-  BatchOptions options;
-  options.num_instances = kInstances;
-  options.base_seed = 77;
-  ThreadPool pool(1);
-  const std::string expected =
-      deterministic_json(run_batch(options, fn, pool));
-
-  // Crash-loop: each attempt completes at most 3 more cases, then dies.
-  BatchResumeStore store;
-  BatchOptions resumable = options;
-  store.attach(resumable);
-  for (int attempt = 0; attempt < 16 && store.size() < kInstances; ++attempt) {
-    std::atomic<std::size_t> budget{3};
-    try {
-      const BatchReport report = run_batch(
-          resumable,
-          [&](std::size_t index, std::uint64_t seed) {
-            if (budget.fetch_sub(1) == 0) {
-              throw std::runtime_error("simulated kill");
-            }
-            return fn(index, seed);
-          },
-          pool);
-      EXPECT_EQ(deterministic_json(report), expected);
-      break;
-    } catch (const std::runtime_error&) {
-      // progress persisted; loop around and "restart"
-    }
-  }
-  EXPECT_EQ(store.size(), kInstances);
-}
-
 }  // namespace
 }  // namespace sap

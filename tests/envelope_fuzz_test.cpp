@@ -1,10 +1,10 @@
 // Deterministic mutation fuzzing of the sapd envelopes: solve requests
 // (with and without `certify 1` and `deadline_ms`), solve responses carrying
-// certificate sections, batch request and batch response envelopes, and
-// certificate text, all built from the golden path fixtures. Every mutant
-// must either parse or throw std::invalid_argument: that is the only
-// exception the server's loop-thread dispatch catches, so anything else
-// escaping a parser would take the loop thread down.
+// certificate sections, and certificate text, all built from the golden
+// path fixtures. Every mutant must either parse or throw
+// std::invalid_argument: that is the only exception the server's
+// loop-thread dispatch catches, so anything else escaping a parser would
+// take the loop thread down.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -172,47 +172,6 @@ TEST(EnvelopeFuzzTest, SolveResponsesParseOrThrowInvalidArgument) {
 
 TEST(EnvelopeFuzzTest, CertificatesParseOrThrowInvalidArgument) {
   EXPECT_GT(fuzz(corpus().certificates, 18003, parse_certificate), 0);
-}
-
-TEST(EnvelopeFuzzTest, BatchRequestsParseOrThrowInvalidArgument) {
-  const std::vector<std::string>& requests = corpus().requests;
-  std::vector<std::string> batches;
-  for (std::size_t i = 0; i + 4 <= requests.size(); i += 4) {
-    batches.push_back(encode_batch_solve_request(
-        {requests.begin() + static_cast<std::ptrdiff_t>(i),
-         requests.begin() + static_cast<std::ptrdiff_t>(i + 4)}));
-  }
-  EXPECT_GT(fuzz(batches, 18004,
-                 [](const std::string& p) {
-                   for (const std::string& item :
-                        parse_batch_solve_request(p)) {
-                     parse_request(item);
-                   }
-                 }),
-            0);
-}
-
-TEST(EnvelopeFuzzTest, BatchResponsesParseOrThrowInvalidArgument) {
-  const std::vector<std::string>& responses = corpus().responses;
-  const std::string error = encode_error_response(
-      {ErrorCode::kBadRequest, "line 3: bad capacity\nsecond line"});
-  std::vector<std::string> batches;
-  for (std::size_t i = 0; i + 2 <= responses.size(); i += 2) {
-    batches.push_back(encode_batch_solve_response(
-        {{true, responses[i]}, {false, error}, {true, responses[i + 1]}}));
-  }
-  EXPECT_GT(fuzz(batches, 18005,
-                 [](const std::string& p) {
-                   for (const BatchItemResult& item :
-                        parse_batch_solve_response(p)) {
-                     if (item.ok) {
-                       parse_response(item.payload);
-                     } else {
-                       (void)parse_error_response(item.payload);
-                     }
-                   }
-                 }),
-            0);
 }
 
 }  // namespace

@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <numeric>
 #include <vector>
 
 #include "src/exact/brute_force.hpp"
 #include "src/exact/profile_dp.hpp"
-#include "src/exact/ufpp_profile_dp.hpp"
 #include "src/gen/generators.hpp"
 #include "src/model/verify.hpp"
 #include "src/ufpp/branch_and_bound.hpp"
@@ -318,6 +319,49 @@ TEST(ProfileDpTest, RejectsMalformedPruningInputs) {
                std::invalid_argument);
 }
 
+/// A test-local exact UFPP solver, independent of the branch and bound:
+/// sweep the edges left to right, keep the best weight for each set of
+/// chosen tasks that still crosses the edge, and decide every task at its
+/// first edge. Exponential in the tasks starting at one edge; tiny inputs only.
+Weight ufpp_profile_dp_optimum(const PathInstance& inst) {
+  std::map<std::uint32_t, Weight> frontier{{0u, 0}};
+  for (EdgeId e = 0; e < static_cast<EdgeId>(inst.num_edges()); ++e) {
+    std::vector<TaskId> starters;
+    for (TaskId j = 0; j < static_cast<TaskId>(inst.num_tasks()); ++j) {
+      if (inst.task(j).first == e) starters.push_back(j);
+    }
+    std::map<std::uint32_t, Weight> next;
+    for (const auto& [chosen, weight] : frontier) {
+      std::uint32_t crossing = 0;
+      for (TaskId j = 0; j < static_cast<TaskId>(inst.num_tasks()); ++j) {
+        if ((chosen >> j & 1u) != 0 && inst.task(j).last >= e) {
+          crossing |= 1u << j;
+        }
+      }
+      for (std::uint32_t pick = 0; pick < (1u << starters.size()); ++pick) {
+        std::uint32_t active = crossing;
+        Weight total = weight;
+        for (std::size_t k = 0; k < starters.size(); ++k) {
+          if ((pick >> k & 1u) == 0) continue;
+          active |= 1u << starters[k];
+          total += inst.task(starters[k]).weight;
+        }
+        Value load = 0;
+        for (TaskId j = 0; j < static_cast<TaskId>(inst.num_tasks()); ++j) {
+          if ((active >> j & 1u) != 0) load += inst.task(j).demand;
+        }
+        if (load > inst.capacity(e)) continue;
+        const auto [it, inserted] = next.try_emplace(active, total);
+        if (!inserted) it->second = std::max(it->second, total);
+      }
+    }
+    frontier = std::move(next);
+  }
+  Weight best = 0;
+  for (const auto& [chosen, weight] : frontier) best = std::max(best, weight);
+  return best;
+}
+
 TEST(UfppProfileDpTest, CrossValidatesBranchAndBound) {
   // Two independently implemented exact UFPP solvers must agree.
   Rng rng(367);
@@ -329,29 +373,13 @@ TEST(UfppProfileDpTest, CrossValidatesBranchAndBound) {
     opt.min_capacity = 3;
     opt.max_capacity = 14;
     const PathInstance inst = generate_path_instance(opt, rng);
-    const UfppProfileDpResult dp = ufpp_exact_profile_dp(inst);
     const UfppExactResult bb = ufpp_exact(inst);
-    ASSERT_TRUE(dp.proven_optimal);
     ASSERT_TRUE(bb.proven_optimal);
-    ASSERT_TRUE(verify_ufpp(inst, dp.solution))
-        << verify_ufpp(inst, dp.solution).reason;
-    EXPECT_EQ(dp.weight, bb.weight) << "trial " << trial;
-    EXPECT_EQ(dp.solution.weight(inst), dp.weight);
+    ASSERT_TRUE(verify_ufpp(inst, bb.solution))
+        << verify_ufpp(inst, bb.solution).reason;
+    EXPECT_EQ(bb.weight, ufpp_profile_dp_optimum(inst)) << "trial " << trial;
+    EXPECT_EQ(bb.solution.weight(inst), bb.weight);
   }
-}
-
-TEST(UfppProfileDpTest, BeamCapDegradesGracefully) {
-  Rng rng(373);
-  PathGenOptions opt;
-  opt.num_edges = 6;
-  opt.num_tasks = 14;
-  const PathInstance inst = generate_path_instance(opt, rng);
-  UfppProfileDpOptions tight;
-  tight.max_states = 2;
-  const UfppProfileDpResult r = ufpp_exact_profile_dp(inst, tight);
-  EXPECT_TRUE(verify_ufpp(inst, r.solution));
-  const UfppProfileDpResult full = ufpp_exact_profile_dp(inst);
-  EXPECT_LE(r.weight, full.weight);
 }
 
 /// A random tiny instance whose tasks start at only one to three edges, so

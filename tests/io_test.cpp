@@ -82,7 +82,7 @@ TEST(InstanceIoTest, RingSolutionRoundTrip) {
 
 TEST(InstanceIoTest, ErrorsCarryLineNumbers) {
   try {
-    path_instance_from_string(
+    (void)path_instance_from_string(
         "sap-path v1\nedges 2\ncapacities 4 8\ntasks 1\n0 1 oops 5\n");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& error) {
@@ -90,7 +90,7 @@ TEST(InstanceIoTest, ErrorsCarryLineNumbers) {
         << error.what();
   }
   try {
-    path_instance_from_string("sap-path v1\nedges x\n");
+    (void)path_instance_from_string("sap-path v1\nedges x\n");
     FAIL() << "expected std::invalid_argument";
   } catch (const std::invalid_argument& error) {
     EXPECT_NE(std::string(error.what()).find("line 2"), std::string::npos)

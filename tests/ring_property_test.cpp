@@ -19,12 +19,19 @@ struct RingCase {
   std::uint64_t seed;
 };
 
+// Built by appending: GCC 12 at -O3 reports a false -Wrestrict on
+// "literal" + std::string.
 std::string CaseName(const testing::TestParamInfo<RingCase>& info) {
-  return "m" + std::to_string(info.param.edges) + "n" +
-         std::to_string(info.param.tasks) + "c" +
-         std::to_string(info.param.cap_lo) + "to" +
-         std::to_string(info.param.cap_hi) + "s" +
-         std::to_string(info.param.seed);
+  return std::string("m")
+      .append(std::to_string(info.param.edges))
+      .append("n")
+      .append(std::to_string(info.param.tasks))
+      .append("c")
+      .append(std::to_string(info.param.cap_lo))
+      .append("to")
+      .append(std::to_string(info.param.cap_hi))
+      .append("s")
+      .append(std::to_string(info.param.seed));
 }
 
 class RingPropertyTest : public testing::TestWithParam<RingCase> {};

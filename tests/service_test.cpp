@@ -15,7 +15,6 @@
 #include <fstream>
 #include <functional>
 #include <limits>
-#include <numeric>
 #include <semaphore>
 #include <sstream>
 #include <thread>
@@ -206,9 +205,6 @@ TEST(ServiceTest, SolverSelectionMatchesInProcessBackends) {
   params.eps = 0.5;
   params.seed = 7;
   const SapExactOptions exact{.max_states = kExactMaxStates};  // sapd's cap
-  std::vector<TaskId> ids(inst.num_tasks());
-  std::iota(ids.begin(), ids.end(), TaskId{0});
-
   struct Row {
     SolveRequest::Kind kind;
     const char* algo;
@@ -227,12 +223,9 @@ TEST(ServiceTest, SolverSelectionMatchesInProcessBackends) {
        path_text(sap_exact_profile_dp(inst, exact).solution)},
       {SolveRequest::Kind::kPath, "uniform", to_string(inst),
        path_text(solve_sap_uniform(inst))},
-      {SolveRequest::Kind::kPath, "small", to_string(inst),
-       path_text(solve_small_tasks(inst, ids, params))},
-      {SolveRequest::Kind::kPath, "medium", to_string(inst),
-       path_text(solve_medium_tasks(inst, ids, params))},
-      {SolveRequest::Kind::kPath, "large", to_string(inst),
-       path_text(solve_large_tasks(inst, ids, params))},
+      // The pipeline's stages are not routes (a single stage over every
+      // task has no state cap); the connection then serves the next solve.
+      {SolveRequest::Kind::kPath, "medium", to_string(inst), ""},
       {SolveRequest::Kind::kRing, "full", ring_text,
        reference_ring_solution(ring_text, 0.5, 7)},
       // Each kind accepts only its own algos.
@@ -437,17 +430,40 @@ TEST(ServiceTest, UnknownFrameTypeKeepsConnectionUsable) {
   Server server(ServerOptions{});
   server.start();
 
+  SolveRequest request;
+  request.instance_text =
+      "sap-path v1\nedges 1\ncapacities 4\ntasks 1\n0 0 2 5\n";
+  const std::string payload = encode_solve_request(request);
   const int fd = connect_raw(server.port());
-  ASSERT_TRUE(write_frame(fd, static_cast<FrameType>(999), "???"));
   Frame frame;
-  ASSERT_EQ(read_frame(fd, &frame), ReadStatus::kOk);
-  EXPECT_EQ(frame.type, static_cast<std::uint32_t>(FrameType::kErrorResponse));
-  // Frame boundary intact: a stats request on the same connection works.
+  // Type 3 carries a valid solve payload: only the type decides.
+  for (const std::uint32_t type : {3u, 999u}) {
+    ASSERT_TRUE(write_frame(fd, static_cast<FrameType>(type), payload));
+    ASSERT_EQ(read_frame(fd, &frame), ReadStatus::kOk);
+    ASSERT_EQ(frame.type,
+              static_cast<std::uint32_t>(FrameType::kErrorResponse));
+    const ErrorResponse error = parse_error_response(frame.payload);
+    EXPECT_EQ(error.code, ErrorCode::kBadRequest);
+    EXPECT_EQ(error.message, "unknown frame type " + std::to_string(type));
+
+    // Frame boundary intact: a solve on the same connection is served.
+    ASSERT_TRUE(write_frame(fd, FrameType::kSolveRequest, payload));
+    ASSERT_EQ(read_frame(fd, &frame), ReadStatus::kOk);
+    ASSERT_EQ(frame.type,
+              static_cast<std::uint32_t>(FrameType::kSolveResponse));
+    EXPECT_EQ(parse_solve_response(frame.payload).solution_text,
+              reference_path_solution(request.instance_text, request.eps,
+                                      request.seed));
+  }
   ASSERT_TRUE(write_frame(fd, FrameType::kStatsRequest, ""));
   ASSERT_EQ(read_frame(fd, &frame), ReadStatus::kOk);
   EXPECT_EQ(frame.type, static_cast<std::uint32_t>(FrameType::kStatsResponse));
   EXPECT_NE(frame.payload.find("\"queue_depth\""), std::string::npos);
   ::close(fd);
+
+  const ServerStats stats = server.stats_snapshot();
+  EXPECT_EQ(stats.requests_bad, 2u);
+  EXPECT_EQ(stats.requests_ok, 2u);
   server.stop();
 }
 
@@ -876,69 +892,56 @@ TEST(ServiceTest, SolveWithRetryGivesUpAfterMaxAttemptsOnDeadServer) {
   }
 }
 
-TEST(ServiceBatchTest, BatchFrameSolvesItemsIndividuallyAndPreservesOrder) {
-  Server server(ServerOptions{});
+TEST(ServiceBatchTest, BatchOverItemLimitRejectedBeforeAnyInnerParse) {
+  // sapd takes one solve per frame. A type-3 frame packing more solve
+  // payloads than any server would take is rejected on its type alone:
+  // nothing inside it is parsed, solved or cached.
+  ServerOptions options;
+  options.cache_entries = 8;
+  Server server(options);
   server.start();
-  Client client;
-  client.connect("127.0.0.1", server.port());
 
-  SolveRequest path_request;
-  path_request.instance_text =
+  SolveRequest request;
+  request.instance_text =
       "sap-path v1\nedges 1\ncapacities 4\ntasks 1\n0 0 2 5\n";
-  SolveRequest bad_request;
-  bad_request.instance_text = "sap-path v1\nedges NOT_A_NUMBER\n";
-  SolveRequest ring_request;
-  ring_request.kind = SolveRequest::Kind::kRing;
-  {
-    RingGenOptions gen;
-    gen.num_edges = 6;
-    gen.num_tasks = 8;
-    Rng rng(5);
-    ring_request.instance_text = ring_to_string(generate_ring_instance(gen, rng));
-  }
+  const std::string item = encode_solve_request(request);
+  std::string packed = "count 1025\n";
+  for (int i = 0; i < 1025; ++i) packed += item;
 
-  const std::vector<Client::SolveOutcome> outcomes =
-      client.solve_batch({path_request, bad_request, ring_request});
-  ASSERT_EQ(outcomes.size(), 3u);
+  const int fd = connect_raw(server.port());
+  Frame frame;
+  ASSERT_TRUE(write_frame(fd, static_cast<FrameType>(3), packed));
+  ASSERT_EQ(read_frame(fd, &frame), ReadStatus::kOk);
+  ASSERT_EQ(frame.type, static_cast<std::uint32_t>(FrameType::kErrorResponse));
+  const ErrorResponse error = parse_error_response(frame.payload);
+  EXPECT_EQ(error.code, ErrorCode::kBadRequest);
+  EXPECT_EQ(error.message, "unknown frame type 3");
 
-  // Slot 0 and 2 match the equivalent sequential round trips; the bad item
-  // rejects only its own slot.
-  ASSERT_TRUE(outcomes[0].ok) << outcomes[0].error_message;
-  ASSERT_FALSE(outcomes[1].ok);
-  EXPECT_EQ(outcomes[1].error_code, ErrorCode::kBadRequest);
-  ASSERT_TRUE(outcomes[2].ok) << outcomes[2].error_message;
-
-  const Client::SolveOutcome path_alone = client.solve(path_request);
-  const Client::SolveOutcome ring_alone = client.solve(ring_request);
-  ASSERT_TRUE(path_alone.ok);
-  ASSERT_TRUE(ring_alone.ok);
-  EXPECT_EQ(outcomes[0].response.solution_text,
-            path_alone.response.solution_text);
-  EXPECT_EQ(outcomes[0].response.weight, path_alone.response.weight);
-  EXPECT_EQ(outcomes[2].response.solution_text,
-            ring_alone.response.solution_text);
-  EXPECT_EQ(outcomes[2].response.weight, ring_alone.response.weight);
-
-  const ServerStats stats = server.stats_snapshot();
-  EXPECT_EQ(stats.batch_requests, 1u);
-  EXPECT_EQ(stats.requests_ok, 4u);  // 2 batch slots + 2 sequential
+  ServerStats stats = server.stats_snapshot();
   EXPECT_EQ(stats.requests_bad, 1u);
+  EXPECT_EQ(stats.requests_ok, 0u);
+  EXPECT_EQ(stats.cache_misses, 0u);
+  EXPECT_EQ(stats.cache_entries, 0u);
+
+  // The connection survives the rejection (frame boundary intact).
+  ASSERT_TRUE(write_frame(fd, FrameType::kSolveRequest, item));
+  ASSERT_EQ(read_frame(fd, &frame), ReadStatus::kOk);
+  ASSERT_EQ(frame.type, static_cast<std::uint32_t>(FrameType::kSolveResponse));
+  EXPECT_EQ(parse_solve_response(frame.payload).solution_text,
+            reference_path_solution(request.instance_text, request.eps,
+                                    request.seed));
+  ::close(fd);
+  stats = server.stats_snapshot();
+  EXPECT_EQ(stats.requests_ok, 1u);
+  EXPECT_EQ(stats.cache_misses, 1u);
   server.stop();
 }
 
-TEST(ServiceBatchTest, EmptyBatchShortCircuitsWithoutATransport) {
-  // solve_batch({}) returns before touching the socket, so it works on a
-  // client that was never connected to anything.
-  Client client;
-  EXPECT_FALSE(client.connected());
-  EXPECT_TRUE(client.solve_batch({}).empty());
-}
-
 TEST(ServiceBatchTest, CanonicallyEqualBatchItemsCoalesceToOneSolve) {
-  // Three textually different spellings of the same instance — comments,
-  // extra spaces, CRLF endings — canonicalize to one digest, so a batch
-  // containing all three costs one solve and replays the stored payload
-  // byte-for-byte into every slot.
+  // Three textually different spellings of the same instance (comments,
+  // extra spaces, CRLF endings) canonicalize to one digest, so sending all
+  // three, one frame each, back to back on one connection costs one solve
+  // and replays the stored payload byte-for-byte to the other two.
   ServerOptions options;
   options.cache_entries = 8;
   Server server(options);
@@ -957,9 +960,10 @@ TEST(ServiceBatchTest, CanonicallyEqualBatchItemsCoalesceToOneSolve) {
   respaced.instance_text =
       "sap-path v1\r\nedges  1\r\ncapacities 4\r\n\r\ntasks 1\r\n0 0 2 5\r\n";
 
-  const std::vector<Client::SolveOutcome> outcomes =
-      client.solve_batch({plain, commented, respaced});
-  ASSERT_EQ(outcomes.size(), 3u);
+  std::vector<Client::SolveOutcome> outcomes;
+  for (const SolveRequest& request : {plain, commented, respaced}) {
+    outcomes.push_back(client.solve(request));
+  }
   for (const Client::SolveOutcome& outcome : outcomes) {
     ASSERT_TRUE(outcome.ok) << outcome.error_message;
     EXPECT_EQ(outcome.response.solution_text,
@@ -974,32 +978,6 @@ TEST(ServiceBatchTest, CanonicallyEqualBatchItemsCoalesceToOneSolve) {
   EXPECT_EQ(stats.cache_misses, 1u);
   EXPECT_EQ(stats.cache_hits + stats.cache_coalesced, 2u);
   EXPECT_EQ(stats.cache_entries, 1u);
-  server.stop();
-}
-
-TEST(ServiceBatchTest, BatchOverItemLimitRejectedBeforeAnyInnerParse) {
-  Server server(ServerOptions{});
-  server.start();
-  Client client;
-  client.connect("127.0.0.1", server.port());
-
-  SolveRequest request;
-  request.instance_text =
-      "sap-path v1\nedges 1\ncapacities 4\ntasks 1\n0 0 2 5\n";
-  const std::vector<SolveRequest> batch(kDefaultMaxBatchItems + 1, request);
-  const std::vector<Client::SolveOutcome> outcomes =
-      client.solve_batch(batch);
-  ASSERT_EQ(outcomes.size(), batch.size());
-  for (const Client::SolveOutcome& outcome : outcomes) {
-    ASSERT_FALSE(outcome.ok);
-    EXPECT_EQ(outcome.error_code, ErrorCode::kBadRequest);
-    EXPECT_NE(outcome.error_message.find("exceeds receiver limit"),
-              std::string::npos)
-        << outcome.error_message;
-  }
-  // The connection survives the rejection (frame boundary intact).
-  const Client::SolveOutcome after = client.solve(request);
-  EXPECT_TRUE(after.ok) << after.error_message;
   server.stop();
 }
 
@@ -1106,20 +1084,27 @@ TEST(ServiceCacheTest, ConcurrentIdenticalRequestsCoalesceIntoOneSolve) {
   Server server(options);
   server.start();
 
-  SolveRequest request;
-  request.instance_text =
+  // Three textually different spellings of the same instance (a comment
+  // line, a double space, CRLF endings) canonicalize to one digest.
+  constexpr std::size_t kClients = 3;
+  SolveRequest requests[kClients];
+  requests[0].instance_text =
+      "# same instance, different bytes\n"
       "sap-path v1\nedges 1\ncapacities 4\ntasks 1\n0 0 2 5\n";
+  requests[1].instance_text =
+      "sap-path v1\nedges  1\ncapacities 4\ntasks 1\n0 0 2 5\n";
+  requests[2].instance_text =
+      "sap-path v1\r\nedges 1\r\ncapacities 4\r\n\r\ntasks 1\r\n0 0 2 5\r\n";
 
   // The first request becomes the owner and blocks in the hook; the other
   // two coalesce behind it without consuming queue slots or workers.
-  constexpr std::size_t kClients = 3;
   Client::SolveOutcome outcomes[kClients];
   std::vector<std::thread> clients;
   for (std::size_t c = 0; c < kClients; ++c) {
     clients.emplace_back([&, c] {
       Client client;
       client.connect("127.0.0.1", server.port());
-      outcomes[c] = client.solve(request);
+      outcomes[c] = client.solve(requests[c]);
     });
     if (c == 0) {
       spin_until([&] { return server.stats_snapshot().active_solves == 1; });

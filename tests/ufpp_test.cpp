@@ -155,14 +155,8 @@ TEST(LpRoundingTest, HalfBPackableAndCompetitive) {
 }
 
 TEST(UfppExactTest, MatchesBruteForceOnTinyInstances) {
-  Rng rng(89);
-  for (int trial = 0; trial < 30; ++trial) {
-    PathGenOptions opt;
-    opt.num_edges = 6;
-    opt.num_tasks = 10;
-    opt.min_capacity = 4;
-    opt.max_capacity = 12;
-    const PathInstance inst = generate_path_instance(opt, rng);
+  const auto check = [](const PathInstance& inst, const char* family,
+                        int trial) {
     const UfppExactResult bb = ufpp_exact(inst);
     ASSERT_TRUE(bb.proven_optimal);
     ASSERT_TRUE(verify_ufpp(inst, bb.solution));
@@ -176,7 +170,27 @@ TEST(UfppExactTest, MatchesBruteForceOnTinyInstances) {
       }
       if (verify_ufpp(inst, s)) best = std::max(best, s.weight(inst));
     }
-    EXPECT_EQ(bb.weight, best) << "trial " << trial;
+    EXPECT_EQ(bb.weight, best) << family << " trial " << trial;
+  };
+  Rng rng(89);
+  for (int trial = 0; trial < 30; ++trial) {
+    PathGenOptions opt;
+    opt.num_edges = 6;
+    opt.num_tasks = 10;
+    opt.min_capacity = 4;
+    opt.max_capacity = 12;
+    check(generate_path_instance(opt, rng), "uniform", trial);
+  }
+  // Mixed sizes over every capacity profile.
+  Rng mixed_rng(367);
+  for (int trial = 0; trial < 40; ++trial) {
+    PathGenOptions opt;
+    opt.num_edges = static_cast<std::size_t>(mixed_rng.uniform_int(2, 8));
+    opt.num_tasks = static_cast<std::size_t>(mixed_rng.uniform_int(2, 12));
+    opt.profile = static_cast<CapacityProfile>(mixed_rng.uniform_int(0, 4));
+    opt.min_capacity = 3;
+    opt.max_capacity = 14;
+    check(generate_path_instance(opt, mixed_rng), "profiled", trial);
   }
 }
 
