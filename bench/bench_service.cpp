@@ -25,8 +25,8 @@
 // space (the kind is a digest lane, so same-instance requests of different
 // kinds never collide).
 //
-// The remaining sections exercise the scale-out serving core (event loop +
-// shards + solve cache) against a second, cache-enabled server:
+// The remaining sections exercise the serving core (event loop + admission
+// queue + solve cache) against a second, cache-enabled server:
 //
 //   --open-loop        paced load at --target-qps for --duration-s: every
 //                      connection fires on a fixed absolute schedule
@@ -56,7 +56,7 @@
 //                      [--open-loop] [--target-qps Q] [--duration-s S]
 //                      [--open-clients C] [--sweep-clients C1,C2,...]
 //                      [--cache-sweep] [--restart]
-//                      [--shards S] [--cache-entries E] [--out FILE.json]
+//                      [--cache-entries E] [--out FILE.json]
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -408,8 +408,7 @@ struct RestartResult {
 /// (recovery is on the startup path) and warm-vs-cold serve time (what the
 /// journal buys after a restart).
 RestartResult run_restart(const std::vector<PooledInstance>& pool,
-                          std::size_t threads, std::size_t shards,
-                          std::size_t cache_entries) {
+                          std::size_t threads, std::size_t cache_entries) {
   RestartResult out;
   out.pool_size = pool.size();
   char dir_template[] = "/tmp/sapkit_bench_restart_XXXXXX";
@@ -422,7 +421,6 @@ RestartResult run_restart(const std::vector<PooledInstance>& pool,
     service::ServerOptions options;
     options.solver_threads = threads;
     options.max_queue = 1024;
-    options.shards = shards;
     options.cache_entries = cache_entries;
     options.cache_persist_path = journal;
     return options;
@@ -500,7 +498,6 @@ int main(int argc, char** argv) {
   std::vector<std::size_t> sweep_clients;
   bool cache_sweep = false;
   bool restart = false;
-  std::size_t shards = 4;
   std::size_t cache_entries = 1024;
   std::string out_path;
   for (int i = 1; i < argc; ++i) {
@@ -553,8 +550,6 @@ int main(int argc, char** argv) {
       cache_sweep = true;
     } else if (arg == "--restart") {
       restart = true;
-    } else if (arg == "--shards") {
-      shards = std::stoull(next());
     } else if (arg == "--cache-entries") {
       cache_entries = std::stoull(next());
     } else if (arg == "--out") {
@@ -566,8 +561,8 @@ int main(int argc, char** argv) {
                    "[--mixed] "
                    "[--open-loop] [--target-qps Q] [--duration-s S] "
                    "[--open-clients C] [--sweep-clients C1,C2,...] "
-                   "[--cache-sweep] [--restart] [--shards S] "
-                   "[--cache-entries E] [--out FILE]\n");
+                   "[--cache-sweep] [--restart] [--cache-entries E] "
+                   "[--out FILE]\n");
       return 2;
     }
   }
@@ -678,17 +673,15 @@ int main(int argc, char** argv) {
 
   const service::ServerStats stats = server.stats_snapshot();
   std::printf("\nserver side: ok=%llu bad=%llu overloaded=%llu "
-              "degraded=%llu deadline_exceeded=%llu connections=%llu\n",
+              "degraded=%llu connections=%llu\n",
               static_cast<unsigned long long>(stats.requests_ok),
               static_cast<unsigned long long>(stats.requests_bad),
               static_cast<unsigned long long>(stats.requests_overloaded),
               static_cast<unsigned long long>(stats.requests_degraded),
-              static_cast<unsigned long long>(
-                  stats.requests_deadline_exceeded),
               static_cast<unsigned long long>(stats.connections_accepted));
   server.stop();
 
-  // Scale-out sections run against a second, cache-enabled sharded server;
+  // Scale-out sections run against a second, cache-enabled server;
   // the closed-loop sections above keep the cache off so their numbers stay
   // comparable with sapkit-bench-service-v2 runs.
   const bool scale_out = open_loop || cache_sweep || !sweep_clients.empty();
@@ -700,7 +693,6 @@ int main(int argc, char** argv) {
     service::ServerOptions cached_options;
     cached_options.solver_threads = threads;
     cached_options.max_queue = 1024;
-    cached_options.shards = shards;
     cached_options.cache_entries = cache_entries;
     service::Server cached_server(std::move(cached_options));
     cached_server.start();
@@ -708,10 +700,9 @@ int main(int argc, char** argv) {
     warm_cache(cached_server, cached_pool);
 
     if (open_loop) {
-      std::printf("\n== open loop (%zu shards, %zu cache entries, "
-                  "%zu connections, target %.0f qps, %.1fs) ==\n",
-                  shards, cache_entries, open_clients, target_qps,
-                  duration_s);
+      std::printf("\n== open loop (%zu cache entries, %zu connections, "
+                  "target %.0f qps, %.1fs) ==\n",
+                  cache_entries, open_clients, target_qps, duration_s);
       open_pass = run_open_loop(cached_server, cached_pool, open_clients,
                                 target_qps, duration_s);
       std::printf("achieved %.1f qps (%zu sent, %zu failed), hit rate "
@@ -780,10 +771,10 @@ int main(int argc, char** argv) {
   RestartResult restart_pass;
   if (restart) {
     const std::vector<PooledInstance> persist_pool = small_pool(pool);
-    std::printf("\n== restart (persistent journal, %zu shards, %zu cache "
-                "entries, %zu instances) ==\n",
-                shards, cache_entries, persist_pool.size());
-    restart_pass = run_restart(persist_pool, threads, shards, cache_entries);
+    std::printf("\n== restart (persistent journal, %zu cache entries, %zu "
+                "instances) ==\n",
+                cache_entries, persist_pool.size());
+    restart_pass = run_restart(persist_pool, threads, cache_entries);
     std::printf("cold serve %.3fs, stop+flush %.3fs, journal %llu bytes\n"
                 "restart start() %.3fs (recovered %llu records), warm serve "
                 "%.3fs (hit rate %.3f: %llu hits / %llu misses)\n"
@@ -827,8 +818,7 @@ int main(int argc, char** argv) {
     }
     out << "],\n";
     if (scale_out) {
-      out << "    \"scale_out\": {\"shards\": " << shards
-          << ", \"cache_entries\": " << cache_entries
+      out << "    \"scale_out\": {\"cache_entries\": " << cache_entries
           << ", \"open_clients\": " << open_clients
           << ", \"target_qps\": " << target_qps
           << ", \"duration_s\": " << duration_s

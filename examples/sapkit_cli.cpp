@@ -18,8 +18,7 @@
 //                      [--ring] [--kind round-ufp|round-sap] [--no-timings]
 //                      [--cases] [--out FILE]
 //   sapkit_cli serve   [--host H] [--port P] [--threads T] [--queue Q]
-//                      [--shards S] [--cache-entries C]
-//                      [--cache-persist-path FILE]
+//                      [--cache-entries C] [--cache-persist-path FILE]
 //                      [--default-deadline-ms B]
 //   sapkit_cli request [--host H] [--port P] [--stats] [--ring]
 //                      [--kind path|ring|round-ufp|round-sap] [--certify]
@@ -95,8 +94,8 @@ void print_usage(std::ostream& os) {
         "          [--ring] [--kind round-ufp|round-sap] [--no-timings]\n"
         "          [--cases] [--out FILE]\n"
         "  serve   --host H --port P --threads T --queue Q\n"
-        "          [--shards S] [--cache-entries C]\n"
-        "          [--cache-persist-path FILE] [--default-deadline-ms B]\n"
+        "          [--cache-entries C] [--cache-persist-path FILE]\n"
+        "          [--default-deadline-ms B]\n"
         "  request --host H --port P [--stats] [--ring] [--certify]\n"
         "          [--kind path|ring|round-ufp|round-sap]\n"
         "          [--cert-out FILE] --algo A --eps X --seed N\n"
@@ -153,7 +152,6 @@ struct Options {
   std::size_t count = 100;
   std::size_t threads = 0;
   std::size_t queue = 64;
-  std::size_t shards = 1;         // serve: independent admission shards
   std::size_t cache_entries = 0;  // serve: solve-cache capacity (off unless
                                   // --cache-entries >= 1 is given)
   std::string cache_persist_path;  // serve: crash-safe cache journal
@@ -238,9 +236,14 @@ Options parse_options(int argc, char** argv) {
       opt.threads = next_u64();
     } else if (arg == "--queue") {
       opt.queue = next_u64();
+      if (opt.queue == 0) throw UsageError("--queue must be at least 1");
     } else if (arg == "--shards") {
-      opt.shards = next_u64();
-      if (opt.shards == 0) throw UsageError("--shards must be at least 1");
+      // Kept for older serve command lines: 1 is the only value that still
+      // describes the server, so it is a no-op.
+      if (next_u64() != 1) {
+        throw UsageError("--shards: sapd has one admission queue (use "
+                         "--queue to size it)");
+      }
     } else if (arg == "--cache-entries") {
       opt.cache_entries = next_u64();
       if (opt.cache_entries == 0) {
@@ -494,7 +497,6 @@ int run_serve(const Options& opt) {
   options.port = opt.port;
   options.solver_threads = opt.threads;
   options.max_queue = opt.queue;
-  options.shards = opt.shards;
   options.cache_entries = opt.cache_entries;
   options.cache_persist_path = opt.cache_persist_path;
   options.default_deadline_ms = opt.default_deadline_ms;

@@ -12,8 +12,8 @@
 // miss, never a wrong hit.
 //
 // The digest is a splitmix64-style two-lane 128-bit mix: fast, seedless and
-// stable across platforms/runs (unlike std::hash), which the sharded server
-// also relies on to route identical instances to the same shard. It is not
+// stable across platforms/runs (unlike std::hash), which the cache journal
+// relies on: a recovered record keeps the key it was written with. It is not
 // cryptographic; sapd trusts its cache only as far as it trusts its peers.
 #pragma once
 

@@ -311,7 +311,7 @@ void CacheStore::flush() {
   if (failed_ || fd_ < 0) return;
   // sapkit-analyze: allow(lock-blocking) -- the durability point must cover
   // every append that returned before it (mutex_ guards the fd); callers are
-  // Server::stop() after the shards drain, never the request path.
+  // Server::stop() after the workers drain, never the request path.
   if (::fsync(fd_) != 0) fail_locked("fsync");
 }
 

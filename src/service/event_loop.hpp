@@ -1,10 +1,9 @@
 // Single-threaded epoll event loop for sapd: non-blocking accept/read/write
 // with a per-connection framing state machine, replacing the one
 // reader-thread-per-connection model. One loop thread multiplexes every
-// connection; solver work still runs on the sharded worker pools
-// (shard.hpp), which hand finished responses back to the loop through the
-// thread-safe send() — an eventfd wakes the loop, which owns all socket
-// I/O.
+// connection; solver work still runs on the worker pool (worker_pool.hpp),
+// which hands finished responses back to the loop through the thread-safe
+// send() — an eventfd wakes the loop, which owns all socket I/O.
 //
 // Responsibilities split:
 //   - the loop assembles frames (header validation, payload bounds) and

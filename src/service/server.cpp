@@ -41,6 +41,7 @@ std::uint64_t kind_lane_of(SolveRequest::Kind kind) {
 std::string stats_to_json(const ServerStats& stats) {
   std::ostringstream os;
   os << "{\n";
+  os << "  \"schema\": 2,\n";
   os << "  \"uptime_seconds\": " << stats.uptime_seconds << ",\n";
   os << "  \"connections_accepted\": " << stats.connections_accepted
      << ",\n";
@@ -50,20 +51,11 @@ std::string stats_to_json(const ServerStats& stats) {
   os << "    \"overloaded\": " << stats.requests_overloaded << ",\n";
   os << "    \"shutting_down\": " << stats.requests_shutting_down << ",\n";
   os << "    \"internal\": " << stats.requests_internal_error << ",\n";
-  os << "    \"deadline_exceeded\": " << stats.requests_deadline_exceeded
-     << ",\n";
   os << "    \"degraded\": " << stats.requests_degraded << ",\n";
   os << "    \"stats\": " << stats.stats_requests << "\n";
   os << "  },\n";
   os << "  \"queue_depth\": " << stats.queue_depth << ",\n";
   os << "  \"active_solves\": " << stats.active_solves << ",\n";
-  os << "  \"shards\": [";
-  for (std::size_t s = 0; s < stats.shards.size(); ++s) {
-    if (s != 0) os << ", ";
-    os << "{\"queue_depth\": " << stats.shards[s].queue_depth
-       << ", \"active\": " << stats.shards[s].active << "}";
-  }
-  os << "],\n";
   os << "  \"cache\": {\n";
   os << "    \"hits\": " << stats.cache_hits << ",\n";
   os << "    \"misses\": " << stats.cache_misses << ",\n";
@@ -174,15 +166,10 @@ void Server::start() {
     bound_port_ = ntohs(bound.sin_port);
   }
 
-  ShardPool::Options pool_options;
-  pool_options.shards = options_.shards == 0 ? 1 : options_.shards;
-  pool_options.threads = options_.solver_threads;
-  pool_options.queue_capacity = options_.max_queue;
-  pool_options.pin_cpus = options_.pin_cpus;
-  shards_ = std::make_unique<ShardPool>(pool_options);
-
-  latency_ = std::make_unique<LatencyReservoir>(kLatencyReservoirCapacity,
-                                                shards_->shard_count());
+  workers_ = std::make_unique<WorkerPool>(WorkerPool::Options{
+      .threads = options_.solver_threads,
+      .queue_capacity = options_.max_queue});
+  latency_ = std::make_unique<LatencyReservoir>(kLatencyReservoirCapacity);
 
   EventLoopOptions loop_options;
   loop_options.write_stall_timeout = options_.send_timeout;
@@ -210,7 +197,7 @@ void Server::stop() {
   if (!running_.exchange(false)) return;
 
   // After this, every new dispatch (loop thread) rejects with SHUTTING_DOWN,
-  // so the shard drain below terminates.
+  // so the worker drain below terminates.
   stopping_.store(true, std::memory_order_release);
 
   // 1. Stop accepting, then close the listen socket.
@@ -221,7 +208,7 @@ void Server::stop() {
   // 2. Every admitted solve finishes and enqueues its response (coalesced
   //    waiters re-dispatched by an abandoning owner extend the drain; they
   //    run cache-less, so the drain cannot cascade).
-  shards_->drain();
+  workers_->drain();
 
   // 2b. Every publish has appended by now (publish precedes the response
   //     enqueue on the worker); fsync the journal BEFORE the drain
@@ -235,7 +222,7 @@ void Server::stop() {
   loop_->drain_and_stop();
 
   // 4. No work left; joining the workers is immediate.
-  shards_->stop();
+  workers_->stop();
 }
 
 void Server::on_frame(const ConnPtr& conn, std::uint32_t type,
@@ -290,28 +277,21 @@ void Server::handle_solve_frame(const ConnPtr& conn, std::string payload) {
     complete_error(target, ErrorCode::kBadRequest, error.what());
     return;
   }
-  dispatch_request(std::move(target), std::move(request),
-                   /*allow_cache=*/true);
+  dispatch_request(std::move(target), std::move(request));
 }
 
-void Server::dispatch_request(ResponseTarget target, SolveRequest request,
-                              bool allow_cache) {
+void Server::dispatch_request(ResponseTarget target, SolveRequest request) {
   if (stopping_.load(std::memory_order_acquire)) {
     count_rejection(ErrorCode::kShuttingDown);
     complete_error(target, ErrorCode::kShuttingDown, "server is draining");
     return;
   }
 
-  // The digest costs a canonicalization pass on the loop thread; skip it
-  // when nothing consumes it (cache off, single shard).
-  InstanceDigest key{};
-  if ((allow_cache && cache_->enabled()) || shards_->shard_count() > 1) {
-    key = request_digest(request);
-  }
-  target.shard = shards_->shard_of(key.hi);
-
   std::optional<InstanceDigest> cache_key;
-  if (allow_cache && cache_->enabled()) {
+  if (cache_->enabled()) {
+    // The digest costs a canonicalization pass on the loop thread, so only
+    // a cached request pays it.
+    const InstanceDigest key = request_digest(request);
     // Park the record *before* acquire: a concurrent publish can then never
     // return a waiter id that settle_waiters cannot find.
     std::uint64_t waiter_id = 0;
@@ -339,22 +319,23 @@ void Server::dispatch_request(ResponseTarget target, SolveRequest request,
     if (acquired.role == SolveCache::Role::kOwner) cache_key = key;
   }
 
-  const ShardPool::Submit admitted = shards_->submit(
-      key.hi, [this, target, request = std::move(request), cache_key] {
+  const WorkerPool::Submit admitted = workers_->submit(
+      [this, target, request = std::move(request), cache_key] {
         run_and_respond(target, request, cache_key);
       });
-  if (admitted == ShardPool::Submit::kOk) return;
+  if (admitted == WorkerPool::Submit::kOk) return;
 
   if (cache_key) {
     // Drop the in-flight marker we own; acquire() only runs on the loop
     // thread, so no waiter can have parked behind it yet.
     settle_waiters(cache_->abandon(*cache_key), nullptr);
   }
-  if (admitted == ShardPool::Submit::kFull) {
+  if (admitted == WorkerPool::Submit::kFull) {
     count_rejection(ErrorCode::kOverloaded);
     complete_error(target, ErrorCode::kOverloaded,
                    "admission queue full (" +
-                       std::to_string(options_.max_queue) + " pending)");
+                       std::to_string(workers_->queue_capacity()) +
+                       " pending)");
   } else {
     count_rejection(ErrorCode::kShuttingDown);
     complete_error(target, ErrorCode::kShuttingDown, "server is draining");
@@ -477,12 +458,11 @@ void Server::settle_waiters(const std::vector<std::uint64_t>& ids,
     // request's deadline, not the instance, so each waiter gets its own
     // cache-less solve. The waiter was admitted once already; bypass the
     // capacity check so backpressure cannot turn coalescing into a drop.
-    const InstanceDigest key = request_digest(record.request);
-    const ShardPool::Submit admitted = shards_->submit_admitted(
-        key.hi, [this, target = record.target, request = record.request] {
+    const WorkerPool::Submit admitted = workers_->submit_admitted(
+        [this, target = record.target, request = record.request] {
           run_and_respond(target, request, std::nullopt);
         });
-    if (admitted != ShardPool::Submit::kOk) {
+    if (admitted != WorkerPool::Submit::kOk) {
       count_rejection(ErrorCode::kShuttingDown);
       complete_error(record.target, ErrorCode::kShuttingDown,
                      "server is draining");
@@ -513,7 +493,7 @@ void Server::record_latency(const ResponseTarget& target) {
                               std::chrono::steady_clock::now() -
                               target.admitted_at)
                               .count();
-  latency_->record(ms, target.shard);
+  latency_->record(ms);
 }
 
 ServerStats Server::stats_snapshot() const {
@@ -534,12 +514,10 @@ ServerStats Server::stats_snapshot() const {
       requests_internal_error_.load(std::memory_order_relaxed);
   stats.requests_degraded = requests_degraded_.load(std::memory_order_relaxed);
   stats.stats_requests = stats_requests_.load(std::memory_order_relaxed);
-  if (shards_) {
-    stats.shards = shards_->gauges();
-    for (const ShardPool::ShardGauges& shard : stats.shards) {
-      stats.queue_depth += shard.queue_depth;
-      stats.active_solves += shard.active;
-    }
+  if (workers_) {
+    const WorkerPool::Gauges gauges = workers_->gauges();
+    stats.queue_depth = gauges.queue_depth;
+    stats.active_solves = gauges.active;
   }
   if (cache_) {
     const SolveCache::Stats cache = cache_->stats();

@@ -1,16 +1,14 @@
 // sapd: a long-running SAP solver service over loopback/LAN TCP.
 //
-// Architecture (a miniature inference server, scale-out edition):
+// Architecture (a miniature inference server):
 //   - ONE epoll event loop thread (event_loop.hpp) owns every socket:
 //     non-blocking accept/read/write, per-connection framing state
 //     machines, write backpressure and half-open-peer shedding. Stats
 //     requests and typed rejections are answered inline on the loop;
-//   - solves are routed by the canonical instance digest
-//     (io/canonical.hpp) to N sharded worker pools (shard.hpp) with
-//     best-effort CPU affinity — identical instances always land on the
-//     same shard. Each shard's admission queue is *bounded*: when full the
-//     request is rejected immediately with a typed OVERLOADED error
-//     (backpressure, never unbounded buffering, never a silent drop);
+//   - solves go to one *bounded* admission queue drained by the solver
+//     workers (worker_pool.hpp): when it is full the request is rejected
+//     immediately with a typed OVERLOADED error (backpressure, never
+//     unbounded buffering, never a silent drop);
 //   - an optional bounded LRU solve cache (solve_cache.hpp), keyed by the
 //     canonical digest, serves repeated instances without solving and
 //     coalesces concurrent identical solves into one computation whose
@@ -40,8 +38,8 @@
 #include "src/service/cache_store.hpp"
 #include "src/service/event_loop.hpp"
 #include "src/service/protocol.hpp"
-#include "src/service/shard.hpp"
 #include "src/service/solve_cache.hpp"
+#include "src/service/worker_pool.hpp"
 #include "src/util/deadline.hpp"
 #include "src/util/latency_reservoir.hpp"
 
@@ -73,11 +71,8 @@ struct ServerOptions {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; query Server::port() after start
   std::size_t solver_threads = 0;  ///< 0 = hardware_concurrency
-  /// Worker shards the solver threads are split across; instances route to
-  /// shards by canonical digest. 1 = the classic single-queue behaviour.
-  std::size_t shards = 1;
-  /// Solves admitted but not yet started, per shard. Beyond this,
-  /// OVERLOADED.
+  /// Solves admitted but not yet started, server-wide. Beyond this,
+  /// OVERLOADED. 0 acts as 1.
   std::size_t max_queue = 64;
   /// Solve-cache capacity in entries. 0 (default) disables caching AND
   /// in-flight coalescing — repeated identical requests then consume queue
@@ -97,9 +92,6 @@ struct ServerOptions {
   /// SO_SNDTIMEO): a dead or half-open peer can only pin resources for a
   /// bounded time.
   std::chrono::milliseconds send_timeout{30'000};
-  /// Pin each shard's workers to distinct CPUs (Linux, best effort; only
-  /// applied when shards > 1).
-  bool pin_cpus = true;
   /// Fault-injection test seam: invoked at the named points on the worker
   /// thread. Production configs leave it empty.
   FaultInjector fault_injector;
@@ -114,15 +106,10 @@ struct ServerStats {
   std::uint64_t requests_overloaded = 0;
   std::uint64_t requests_shutting_down = 0;
   std::uint64_t requests_internal_error = 0;
-  /// Always 0: an expired deadline degrades a request instead of failing
-  /// it. Kept because the stats schema publishes it.
-  std::uint64_t requests_deadline_exceeded = 0;
   std::uint64_t requests_degraded = 0;  ///< served ok, but degraded
   std::uint64_t stats_requests = 0;
-  std::size_t queue_depth = 0;    ///< admitted, not yet started (all shards)
-  std::size_t active_solves = 0;  ///< running on the pools right now
-  /// Per-shard gauges, index = shard id.
-  std::vector<ShardPool::ShardGauges> shards;
+  std::size_t queue_depth = 0;    ///< admitted, not yet started
+  std::size_t active_solves = 0;  ///< running on the workers right now
   /// Solve cache counters (all zero when the cache is disabled).
   std::uint64_t cache_hits = 0;
   std::uint64_t cache_misses = 0;
@@ -155,7 +142,7 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  /// Binds, listens and spawns the event loop + sharded solver pools.
+  /// Binds, listens and spawns the event loop + solver workers.
   /// Throws std::runtime_error when the address cannot be bound.
   void start();
 
@@ -174,7 +161,6 @@ class Server {
   /// connection, which completes one pending promise there.
   struct ResponseTarget {
     ConnPtr conn;
-    std::size_t shard = 0;  ///< latency-reservoir stripe hint
     std::chrono::steady_clock::time_point admitted_at{};
   };
 
@@ -189,9 +175,8 @@ class Server {
   void on_protocol_error(const ConnPtr& conn, ReadStatus status,
                          std::uint32_t declared_length);
   void handle_solve_frame(const ConnPtr& conn, std::string payload);
-  /// Consults the cache and routes to a shard (loop thread).
-  void dispatch_request(ResponseTarget target, SolveRequest request,
-                        bool allow_cache);
+  /// Consults the cache and admits a solve (loop thread).
+  void dispatch_request(ResponseTarget target, SolveRequest request);
   /// Runs one solve and fans the outcome out (worker thread). `cache_key`
   /// is set iff this computation owns an in-flight cache slot.
   void run_and_respond(const ResponseTarget& target,
@@ -221,7 +206,7 @@ class Server {
   std::chrono::steady_clock::time_point started_at_;
 
   std::unique_ptr<EventLoop> loop_;
-  std::unique_ptr<ShardPool> shards_;
+  std::unique_ptr<WorkerPool> workers_;
   std::unique_ptr<CacheStore> store_;  ///< outlives cache_ (cache_ holds it)
   std::unique_ptr<SolveCache> cache_;
   std::unique_ptr<LatencyReservoir> latency_;

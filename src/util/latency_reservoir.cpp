@@ -6,42 +6,36 @@
 
 namespace sap {
 
-LatencyReservoir::LatencyReservoir(std::size_t capacity, std::size_t stripes) {
-  const std::size_t count = std::max<std::size_t>(1, stripes);
-  stripe_capacity_ = std::max<std::size_t>(1, capacity / count);
-  stripes_.reserve(count);
-  for (std::size_t i = 0; i < count; ++i) {
-    stripes_.push_back(std::make_unique<Stripe>());
-    stripes_.back()->ring.reserve(stripe_capacity_);
-  }
+LatencyReservoir::LatencyReservoir(std::size_t capacity)
+    : capacity_(std::max<std::size_t>(1, capacity)) {
+  ring_.reserve(capacity_);
 }
 
-void LatencyReservoir::record(double ms, std::size_t stripe_hint) {
-  Stripe& stripe = *stripes_[stripe_hint % stripes_.size()];
-  std::lock_guard lock(stripe.mutex);
-  if (stripe.ring.size() < stripe_capacity_) {
-    stripe.ring.push_back(ms);
+void LatencyReservoir::record(double ms) {
+  std::lock_guard lock(mutex_);
+  if (ring_.size() < capacity_) {
+    ring_.push_back(ms);
   } else {
-    stripe.ring[stripe.next] = ms;
-    stripe.next = (stripe.next + 1) % stripe_capacity_;
+    ring_[next_] = ms;
+    next_ = (next_ + 1) % capacity_;
   }
-  ++stripe.total;
-  if (ms > stripe.max_ms) stripe.max_ms = ms;
+  ++total_;
+  if (ms > max_ms_) max_ms_ = ms;
 }
 
 LatencyReservoir::Snapshot LatencyReservoir::snapshot() const {
   Snapshot snap;
-  std::vector<double> merged;
-  for (const auto& stripe : stripes_) {
-    std::lock_guard lock(stripe->mutex);
-    merged.insert(merged.end(), stripe->ring.begin(), stripe->ring.end());
-    snap.samples += stripe->total;
-    if (stripe->max_ms > snap.max_ms) snap.max_ms = stripe->max_ms;
+  std::vector<double> retained;
+  {
+    std::lock_guard lock(mutex_);
+    retained = ring_;
+    snap.samples = total_;
+    snap.max_ms = max_ms_;
   }
-  if (!merged.empty()) {
-    snap.p50_ms = percentile(merged, 50.0);
-    snap.p95_ms = percentile(merged, 95.0);
-    snap.p99_ms = percentile(merged, 99.0);
+  if (!retained.empty()) {
+    snap.p50_ms = percentile(retained, 50.0);
+    snap.p95_ms = percentile(retained, 95.0);
+    snap.p99_ms = percentile(retained, 99.0);
   }
   return snap;
 }

@@ -1,19 +1,10 @@
 // Thread-safe bounded reservoir of recent latency samples with percentile
-// snapshots, striped to keep recording cheap when many shards/workers report
-// concurrently. Extracted from the sapd server (which used a single
-// mutex+ring) so the sharded path records without a global hot lock and the
-// whole structure is testable — and TSan-checkable — in isolation.
-//
-// Each stripe is an independent mutex-guarded ring; record() touches exactly
-// one stripe chosen by the caller's hint (shard index), so recorders on
-// different shards never contend. snapshot() locks the stripes one at a time
-// — percentiles over a merged reservoir are approximate under concurrent
-// writes, which is fine for an observability endpoint.
+// snapshots: one mutex-guarded ring, small enough to test (and TSan-check)
+// in isolation from the sapd server that records into it.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
@@ -29,31 +20,23 @@ class LatencyReservoir {
     double max_ms = 0.0;
   };
 
-  /// `capacity` bounds the *total* retained samples across all stripes;
-  /// each of the `stripes` rings holds capacity/stripes (min 1).
-  explicit LatencyReservoir(std::size_t capacity = 4096,
-                            std::size_t stripes = 1);
+  /// Retains the most recent `capacity` samples (min 1).
+  explicit LatencyReservoir(std::size_t capacity = 4096);
 
   LatencyReservoir(const LatencyReservoir&) = delete;
   LatencyReservoir& operator=(const LatencyReservoir&) = delete;
 
-  /// Records one sample; `stripe_hint` picks the stripe (mod stripe count),
-  /// so callers pass their shard index for contention-free recording.
-  void record(double ms, std::size_t stripe_hint = 0);
+  void record(double ms);
 
   [[nodiscard]] Snapshot snapshot() const;
 
  private:
-  struct Stripe {
-    mutable std::mutex mutex;
-    std::vector<double> ring;
-    std::size_t next = 0;
-    std::uint64_t total = 0;
-    double max_ms = 0.0;
-  };
-
-  std::size_t stripe_capacity_;
-  std::vector<std::unique_ptr<Stripe>> stripes_;
+  const std::size_t capacity_;
+  mutable std::mutex mutex_;
+  std::vector<double> ring_;
+  std::size_t next_ = 0;
+  std::uint64_t total_ = 0;
+  double max_ms_ = 0.0;
 };
 
 }  // namespace sap

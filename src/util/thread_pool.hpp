@@ -1,6 +1,7 @@
 // Minimal fixed-size thread pool with one entry point: a fork/join
 // `parallel_for` used by the batch harness and the benchmarks for parameter
-// sweeps. (sapd runs its solver workers on ShardPool, src/service/shard.hpp.)
+// sweeps. (sapd runs its solver workers on WorkerPool,
+// src/service/worker_pool.hpp.)
 #pragma once
 
 #include <condition_variable>

@@ -3,7 +3,8 @@
 # request's deadline_ms: a budget too small for the chosen solver degrades
 # the answer (stderr notes the skipped stage, stdout is still a verified
 # solution), a budget past the clock's range means unlimited, and a value
-# int64 cannot hold is a usage error (exit 2).
+# int64 cannot hold is a usage error (exit 2). serve's --queue 0 and any
+# --shards other than 1 are usage errors too.
 #
 # usage: cli_deadline_test.sh <path to sapkit_cli>
 set -euo pipefail
@@ -58,4 +59,20 @@ for args in "solve $work/path.txt --deadline-ms" \
     exit 1
   fi
   echo "ok: ${args%% *} ${args##* } 2^63 is a usage error"
+done
+
+# serve usage errors exit 2 before the server binds: it never announces
+# "listening". (A server that did start would hang here; `timeout` turns
+# that into a failure instead.)
+for args in "--queue 0" "--shards 4"; do
+  status=0
+  # shellcheck disable=SC2086
+  timeout 10 "$cli" serve --port 0 $args >"$work/out" 2>"$work/err" ||
+    status=$?
+  if [ "$status" -ne 2 ] || grep -q "listening" "$work/out"; then
+    echo "FAIL: serve $args exited $status, want 2 without listening" >&2
+    cat "$work/err" >&2
+    exit 1
+  fi
+  echo "ok: serve $args is a usage error"
 done

@@ -20,7 +20,10 @@ cleanup() {
 trap cleanup EXIT
 
 : >"$work/serve.out"  # exists before the background shell opens it
-"$cli" serve --port 0 --threads 2 >"$work/serve.out" 2>"$work/serve.err" &
+# Exactly the serve flags sapbench starts sapd with (sapbench/run.py
+# SERVER_FLAGS), so this test also pins the benchmark's command line.
+"$cli" serve --port 0 --threads 4 --shards 1 --queue 64 \
+  --cache-entries 4096 >"$work/serve.out" 2>"$work/serve.err" &
 pid=$!
 port=
 for _ in $(seq 1 200); do

@@ -11,12 +11,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cctype>
 #include <filesystem>
 #include <fstream>
 #include <functional>
 #include <limits>
+#include <map>
+#include <regex>
 #include <semaphore>
 #include <sstream>
+#include <string_view>
 #include <thread>
 #include <vector>
 
@@ -83,6 +87,89 @@ int connect_raw(std::uint16_t port) {
       0);
   return fd;
 }
+
+/// Strict reader for the stats frame: accepts exactly one JSON value and
+/// counts every object key by name, at any depth.
+class JsonChecker {
+ public:
+  explicit JsonChecker(std::string_view text) : text_(text) {}
+
+  [[nodiscard]] bool parse() {
+    std::string raw;
+    const bool ok = value(0, &raw);
+    skip_space();
+    return ok && at_ == text_.size();
+  }
+
+  std::map<std::string, int> key_count;
+  /// Raw scalar text of each key of the outermost object.
+  std::map<std::string, std::string> top_level;
+
+ private:
+  void skip_space() {
+    while (at_ < text_.size() &&
+           std::isspace(static_cast<unsigned char>(text_[at_])) != 0) {
+      ++at_;
+    }
+  }
+  bool eat(char c) {
+    skip_space();
+    if (at_ >= text_.size() || text_[at_] != c) return false;
+    ++at_;
+    return true;
+  }
+  bool string(std::string* out) {
+    if (!eat('"')) return false;
+    while (at_ < text_.size() && text_[at_] != '"') {
+      if (text_[at_] == '\\') ++at_;
+      if (at_ < text_.size()) out->push_back(text_[at_++]);
+    }
+    if (at_ >= text_.size()) return false;
+    ++at_;
+    return true;
+  }
+  bool value(int depth, std::string* raw) {
+    skip_space();
+    if (at_ >= text_.size()) return false;
+    if (text_[at_] == '{') return object(depth);
+    if (text_[at_] == '[') return array(depth);
+    if (text_[at_] == '"') return string(raw);
+    const std::size_t start = at_;
+    while (at_ < text_.size() &&
+           (std::isalnum(static_cast<unsigned char>(text_[at_])) != 0 ||
+            text_[at_] == '-' || text_[at_] == '+' || text_[at_] == '.')) {
+      ++at_;
+    }
+    *raw = std::string(text_.substr(start, at_ - start));
+    static const std::regex kScalar(
+        "true|false|null|-?(0|[1-9][0-9]*)(\\.[0-9]+)?([eE][+-]?[0-9]+)?");
+    return std::regex_match(*raw, kScalar);
+  }
+  bool object(int depth) {
+    ++at_;  // '{'
+    if (eat('}')) return true;
+    do {
+      std::string key;
+      std::string raw;
+      if (!string(&key) || !eat(':') || !value(depth + 1, &raw)) return false;
+      ++key_count[key];
+      if (depth == 0) top_level[key] = raw;
+    } while (eat(','));
+    return eat('}');
+  }
+  bool array(int depth) {
+    ++at_;  // '['
+    if (eat(']')) return true;
+    do {
+      std::string raw;
+      if (!value(depth + 1, &raw)) return false;
+    } while (eat(','));
+    return eat(']');
+  }
+
+  std::string_view text_;
+  std::size_t at_ = 0;
+};
 
 void spin_until(const std::function<bool()>& predicate) {
   for (int i = 0; i < 10'000 && !predicate(); ++i) {
@@ -503,6 +590,7 @@ TEST(ServiceTest, FullAdmissionQueueRejectsWithOverloadedImmediately) {
   const Client::SolveOutcome outcome_c = overflow_client.solve(request);
   ASSERT_FALSE(outcome_c.ok);
   EXPECT_EQ(outcome_c.error_code, ErrorCode::kOverloaded);
+  EXPECT_EQ(outcome_c.error_message, "admission queue full (1 pending)");
 
   // Releasing the worker drains A then B normally.
   gate.release(2);
@@ -589,6 +677,34 @@ TEST(ServiceTest, StatsReportsOutcomeCountsAndPercentiles) {
   server.stop();
 }
 
+TEST(ServiceTest, StatsFrameIsSchemaTwoJsonWithUniqueCacheKeys) {
+  ServerOptions options;
+  options.cache_entries = 8;
+  Server server(options);
+  server.start();
+  Client client;
+  client.connect("127.0.0.1", server.port());
+  SolveRequest request;
+  request.instance_text = "sap-path v1\nedges 1\ncapacities 4\ntasks 1\n"
+                          "0 0 2 5\n";
+  ASSERT_TRUE(client.solve(request).ok);
+
+  const std::string json = client.stats_json();
+  EXPECT_EQ(json.rfind("{\n  \"schema\": 2,\n", 0), 0u) << json;
+  JsonChecker checker(json);
+  ASSERT_TRUE(checker.parse()) << json;
+  EXPECT_EQ(checker.top_level["schema"], "2");
+  EXPECT_EQ(checker.key_count.count("shards"), 0u) << json;
+  EXPECT_EQ(checker.key_count.count("deadline_exceeded"), 0u) << json;
+  // sapbench reads these by a plain text search for `"key": `, which is
+  // only sound while each name occurs once in the whole object.
+  for (const char* key :
+       {"hits", "misses", "coalesced", "evictions", "journal_appends"}) {
+    EXPECT_EQ(checker.key_count[key], 1) << key << " in " << json;
+  }
+  server.stop();
+}
+
 /// An instance the exponential exact oracle cannot finish in 1 ms: dense,
 /// same-capacity, long-span tasks keep the profile-DP frontier wide.
 std::string adversarial_exact_instance() {
@@ -633,7 +749,6 @@ TEST(ServiceTest, ExpiredDeadlineDegradesToVerifiedApproximation) {
   const ServerStats stats = server.stats_snapshot();
   EXPECT_EQ(stats.requests_ok, 1u);
   EXPECT_EQ(stats.requests_degraded, 1u);
-  EXPECT_EQ(stats.requests_deadline_exceeded, 0u);
   server.stop();
 }
 
@@ -1320,7 +1435,6 @@ TEST(ServiceRoundTest, ExpiredDeadlineDegradesRoundExactToValidPacking) {
   const ServerStats stats = server.stats_snapshot();
   EXPECT_EQ(stats.requests_ok, 1u);
   EXPECT_EQ(stats.requests_degraded, 1u);
-  EXPECT_EQ(stats.requests_deadline_exceeded, 0u);
   server.stop();
 }
 
@@ -1603,11 +1717,9 @@ TEST(ServicePersistTest, DegradedResponsesNeverReachDisk) {
   restarted.stop();
 }
 
-TEST(ServiceShardTest, ShardedServerServesCorrectlyAndReportsPerShardGauges) {
+TEST(ServiceWorkerPoolTest, FourWorkersServeCorrectlyAndGaugesReturnToZero) {
   ServerOptions options;
-  options.shards = 4;
   options.solver_threads = 4;
-  options.pin_cpus = false;  // CI runners dislike affinity asserts
   Server server(options);
   server.start();
 
@@ -1644,15 +1756,11 @@ TEST(ServiceShardTest, ShardedServerServesCorrectlyAndReportsPerShardGauges) {
 
   const ServerStats stats = server.stats_snapshot();
   EXPECT_EQ(stats.requests_ok, kClients * kRequestsPerClient);
-  ASSERT_EQ(stats.shards.size(), 4u);
   // A worker lowers its `active` gauge only after its job has sent the
   // reply, so the gauges reach zero shortly after the last response.
   spin_until([&server] {
-    for (const ShardPool::ShardGauges& shard :
-         server.stats_snapshot().shards) {
-      if (shard.queue_depth != 0 || shard.active != 0) return false;
-    }
-    return true;
+    const ServerStats now = server.stats_snapshot();
+    return now.queue_depth == 0 && now.active_solves == 0;
   });
   server.stop();
 }

@@ -1,8 +1,8 @@
-// Unit tests for the scale-out serving substrate: canonical instance
-// hashing (cache key + shard route), the coalescing LRU solve cache, the
-// striped latency reservoir, and shard routing. The concurrency tests
-// (hammering acquire/publish/abandon and record/snapshot from many threads)
-// carry the `concurrency` ctest label so the TSan lane runs them.
+// Unit tests for the serving substrate: canonical instance hashing (the
+// cache key), the coalescing LRU solve cache, the latency reservoir, and
+// the bounded worker pool. The concurrency tests (hammering
+// acquire/publish/abandon and record/snapshot from many threads) carry the
+// `concurrency` ctest label so the TSan lane runs them.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -13,15 +13,15 @@
 #include <vector>
 
 #include "src/io/canonical.hpp"
-#include "src/service/shard.hpp"
 #include "src/service/solve_cache.hpp"
+#include "src/service/worker_pool.hpp"
 #include "src/util/latency_reservoir.hpp"
 
 namespace sap {
 namespace {
 
-using service::ShardPool;
 using service::SolveCache;
+using service::WorkerPool;
 
 TEST(CanonicalTextTest, StripsCommentsBlankLinesAndWhitespaceRuns) {
   const std::string noisy =
@@ -238,7 +238,7 @@ TEST(SolveCacheTest, ConcurrentAcquirersSettleEveryWaiterExactlyOnce) {
 }
 
 TEST(LatencyReservoirTest, SnapshotReportsPercentilesAndTotalCount) {
-  LatencyReservoir reservoir(/*capacity=*/100, /*stripes=*/1);
+  LatencyReservoir reservoir(/*capacity=*/100);
   for (int i = 1; i <= 100; ++i) reservoir.record(static_cast<double>(i));
   const LatencyReservoir::Snapshot snap = reservoir.snapshot();
   EXPECT_EQ(snap.samples, 100u);
@@ -248,7 +248,7 @@ TEST(LatencyReservoirTest, SnapshotReportsPercentilesAndTotalCount) {
 }
 
 TEST(LatencyReservoirTest, RingRetainsRecentSamplesBeyondCapacity) {
-  LatencyReservoir reservoir(/*capacity=*/8, /*stripes=*/1);
+  LatencyReservoir reservoir(/*capacity=*/8);
   for (int i = 0; i < 1000; ++i) reservoir.record(1.0);
   const LatencyReservoir::Snapshot snap = reservoir.snapshot();
   EXPECT_EQ(snap.samples, 1000u);  // total ever recorded
@@ -256,11 +256,11 @@ TEST(LatencyReservoirTest, RingRetainsRecentSamplesBeyondCapacity) {
 }
 
 TEST(LatencyReservoirTest, ConcurrentRecordersAndSnapshottersAreRaceFree) {
-  // Exercised under TSan via the `concurrency` label: stripes must make
-  // record/record and record/snapshot safe with no global lock.
+  // Exercised under TSan via the `concurrency` label: the ring's mutex must
+  // make record/record and record/snapshot safe.
   constexpr int kThreads = 8;
   constexpr int kRecords = 2'000;
-  LatencyReservoir reservoir(/*capacity=*/256, /*stripes=*/4);
+  LatencyReservoir reservoir(/*capacity=*/256);
   std::atomic<bool> stop_snapshots{false};
   std::thread snapshotter([&] {
     while (!stop_snapshots.load()) {
@@ -273,8 +273,7 @@ TEST(LatencyReservoirTest, ConcurrentRecordersAndSnapshottersAreRaceFree) {
   for (int t = 0; t < kThreads; ++t) {
     recorders.emplace_back([&, t] {
       for (int i = 0; i < kRecords; ++i) {
-        reservoir.record(static_cast<double>(i % 17) + 0.5,
-                         static_cast<std::size_t>(t));
+        reservoir.record(static_cast<double>((i + t) % 17) + 0.5);
       }
     });
   }
@@ -285,59 +284,52 @@ TEST(LatencyReservoirTest, ConcurrentRecordersAndSnapshottersAreRaceFree) {
             static_cast<std::size_t>(kThreads) * kRecords);
 }
 
-TEST(ShardPoolTest, RoutesDeterministicallyAndRunsEveryJob) {
-  ShardPool::Options options;
-  options.shards = 4;
+TEST(WorkerPoolTest, RunsEveryJobAndRefusesAfterStop) {
+  WorkerPool::Options options;
   options.threads = 4;
-  options.pin_cpus = false;
-  ShardPool pool(options);
-  ASSERT_EQ(pool.shard_count(), 4u);
-  // Same route hash, same shard, every time.
-  for (std::uint64_t h : {0ull, 1ull, 7ull, 1'000'003ull}) {
-    EXPECT_EQ(pool.shard_of(h), pool.shard_of(h));
-    EXPECT_LT(pool.shard_of(h), 4u);
-  }
+  options.queue_capacity = 100;
+  WorkerPool pool(options);
   std::atomic<int> ran{0};
   for (int i = 0; i < 100; ++i) {
-    ASSERT_EQ(pool.submit(static_cast<std::uint64_t>(i),
-                          [&ran] { ran.fetch_add(1); }),
-              ShardPool::Submit::kOk);
+    ASSERT_EQ(pool.submit([&ran] { ran.fetch_add(1); }),
+              WorkerPool::Submit::kOk);
   }
   pool.drain();
   EXPECT_EQ(ran.load(), 100);
   pool.stop();
-  EXPECT_EQ(pool.submit(0, [] {}), ShardPool::Submit::kStopped);
+  EXPECT_EQ(pool.submit([] {}), WorkerPool::Submit::kStopped);
 }
 
-TEST(ShardPoolTest, PerShardCapacityRejectsWithFullNotBlocking) {
-  ShardPool::Options options;
-  options.shards = 1;
+TEST(WorkerPoolTest, FullQueueRejectsWithFullNotBlocking) {
+  WorkerPool::Options options;
   options.threads = 1;
   options.queue_capacity = 1;
-  options.pin_cpus = false;
-  ShardPool pool(options);
+  WorkerPool pool(options);
 
   std::mutex gate;
   gate.lock();  // the single worker blocks on its first job
-  ASSERT_EQ(pool.submit(0,
-                        [&gate] {
-                          gate.lock();
-                          gate.unlock();
-                        }),
-            ShardPool::Submit::kOk);
+  ASSERT_EQ(pool.submit([&gate] {
+              gate.lock();
+              gate.unlock();
+            }),
+            WorkerPool::Submit::kOk);
   // Wait for the worker to pick the blocker up, then fill the queue.
-  while (pool.totals().active == 0) std::this_thread::yield();
-  ASSERT_EQ(pool.submit(0, [] {}), ShardPool::Submit::kOk);
+  while (pool.gauges().active == 0) std::this_thread::yield();
+  ASSERT_EQ(pool.submit([] {}), WorkerPool::Submit::kOk);
   // Queue full: immediate kFull, no blocking. submit_admitted bypasses it.
-  EXPECT_EQ(pool.submit(0, [] {}), ShardPool::Submit::kFull);
+  EXPECT_EQ(pool.submit([] {}), WorkerPool::Submit::kFull);
   std::atomic<bool> admitted_ran{false};
-  EXPECT_EQ(pool.submit_admitted(0, [&] { admitted_ran = true; }),
-            ShardPool::Submit::kOk);
+  EXPECT_EQ(pool.submit_admitted([&] { admitted_ran = true; }),
+            WorkerPool::Submit::kOk);
 
   gate.unlock();
   pool.drain();
   EXPECT_TRUE(admitted_ran.load());
   pool.stop();
+
+  // A capacity of 0 would admit nothing; the pool enforces 1 and says so.
+  options.queue_capacity = 0;
+  EXPECT_EQ(WorkerPool(options).queue_capacity(), 1u);
 }
 
 }  // namespace
